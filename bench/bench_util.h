@@ -6,12 +6,14 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/sp_rnn.h"
 #include "baselines/sp_rule.h"
 #include "core/lead.h"
 #include "eval/harness.h"
+#include "nn/simd_gemm.h"
 #include "obs/trace.h"
 
 namespace lead::bench {
@@ -49,6 +51,23 @@ inline std::unique_ptr<core::LeadModel> TrainLead(
   std::printf("[train] LEAD wall-clock %.1fs (batch_size=%d)\n",
               watch.ElapsedSeconds(), options.train.batch_size);
   return model;
+}
+
+// Hardware tag of a bench row, as JSON members to splice into its object:
+// host core count, the GEMM ISA this host dispatches, build type and git
+// revision, so rows are only ever compared with rows from the same
+// hardware and build.
+inline std::string HardwareTagFields() {
+  const char* isa = nn::internal::GemmAvx512Available() ? "avx512"
+                    : nn::internal::GemmAvx2Available() ? "avx2"
+                                                        : "scalar";
+  char fields[256];
+  std::snprintf(fields, sizeof(fields),
+                "\"host_cores\": %u, \"isa\": \"%s\", \"build_type\": "
+                "\"%s\", \"git_rev\": \"%s\"",
+                std::thread::hardware_concurrency(), isa,
+                LEAD_BENCH_BUILD_TYPE, LEAD_BENCH_GIT_REV);
+  return fields;
 }
 
 // Appends one JSON object as a single line to `path`. The BENCH_*.json

@@ -159,16 +159,20 @@ int main() {
           "%.1f pts/s  speedup x%.2f\n",
           ExecStrategyName(strategy), threads, best, kPasses, detected,
           points_per_sec, speedup);
-      char record[384];
+      char record[640];
       std::snprintf(
           record, sizeof(record),
           "{\"bench\": \"fig8_detect\", \"strategy\": \"%s\", "
+          "\"exec_mode\": \"%s\", "
           "\"threads\": %d, \"seconds\": %.4f, \"passes\": %d, "
           "\"trajectories\": %d, \"sec_per_trajectory\": %.5f, "
           "\"points_per_sec\": %.1f, \"speedup_vs_serial\": %.3f, "
-          "\"scale\": %.2f}",
-          ExecStrategyName(strategy), threads, best, kPasses, detected,
-          sec_per_traj, points_per_sec, speedup, scale);
+          "\"scale\": %.2f, %s}",
+          ExecStrategyName(strategy),
+          options.detect.exec_mode == core::ExecMode::kPlan ? "plan"
+                                                            : "eager",
+          threads, best, kPasses, detected, sec_per_traj, points_per_sec,
+          speedup, scale, bench::HardwareTagFields().c_str());
       bench::AppendJsonLine("BENCH_parallel.json", record);
     }
   }

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/autoencoder.h"
 #include "core/pipeline.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
@@ -111,20 +112,32 @@ void BM_PoiBruteForceCount100m(benchmark::State& state) {
 }
 BENCHMARK(BM_PoiBruteForceCount100m);
 
+// Args are (m, k, n): square shapes, plus the small-M shapes of the
+// detector's recurrent step ([B x 64] * [64 x 256] with buckets of B~3),
+// where rows left over after the 4-row blocks share each load of b.
 void BM_Gemm(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
   Rng rng(41);
-  const nn::Matrix a = nn::Matrix::Uniform(n, n, 1.0f, &rng);
-  const nn::Matrix b = nn::Matrix::Uniform(n, n, 1.0f, &rng);
-  nn::Matrix out(n, n);
+  const nn::Matrix a = nn::Matrix::Uniform(m, k, 1.0f, &rng);
+  const nn::Matrix b = nn::Matrix::Uniform(k, n, 1.0f, &rng);
+  nn::Matrix out(m, n);
   for (auto _ : state) {
     out.Fill(0.0f);
     nn::MatMulAccumulate(a, b, &out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
 }
-BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_Gemm)
+    ->Args({32, 32, 32})
+    ->Args({64, 64, 64})
+    ->Args({128, 128, 128})
+    ->Args({1, 64, 256})
+    ->Args({2, 64, 256})
+    ->Args({3, 64, 256})
+    ->Args({4, 64, 256});
 
 void BM_GemmSparseAware(benchmark::State& state) {
   // Same dense operands through the sparse-aware kernel. The dense
@@ -213,6 +226,70 @@ void BM_LstmSequenceBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch * kSteps);
 }
 BENCHMARK(BM_LstmSequenceBatched)->Arg(1)->Arg(16)->Arg(64);
+
+// The fused no-grad recurrence alone (nn/infer_kernels.h) at the
+// detector's shape: a 64 -> 64 cell over B stacked sequences of T steps
+// (buckets are B ~ 3 over T <= 12 at 13 stays). Args are (B, T).
+void BM_LstmSequenceInfer(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  const int steps = static_cast<int>(state.range(1));
+  Rng rng(53);
+  nn::LstmCell lstm(64, 64, &rng);
+  const nn::Matrix x = nn::Matrix::Uniform(steps * batch, 64, 1.0f, &rng);
+  nn::Matrix out(steps * batch, 64);
+  const nn::StackedLayout layout{steps, batch};
+  nn::NoGradGuard no_grad;
+  for (auto _ : state) {
+    lstm.InferStacked(layout, x.data(), /*reversed=*/false, out.data(), 64);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch * steps);
+}
+BENCHMARK(BM_LstmSequenceInfer)
+    ->Args({1, 3})
+    ->Args({1, 12})
+    ->Args({3, 3})
+    ->Args({3, 12})
+    ->Args({12, 3})
+    ->Args({12, 12});
+
+// Phase-2 encode of every candidate of an n-stay trajectory (Arg n) with
+// one-point segments, so phase 1 is negligible and the time is the
+// prefix-shared phase-2 compressors: one stay and one move sequence per
+// start stay instead of one per candidate.
+void BM_Phase2Encode(benchmark::State& state) {
+  const int stays = static_cast<int>(state.range(0));
+  Rng rng(57);
+  core::ProcessedTrajectory pt;
+  int index = 0;
+  pt.segmentation.moves.push_back(traj::MoveSegment{});
+  for (int s = 0; s < stays; ++s) {
+    if (s > 0) {
+      traj::MoveSegment move;
+      move.has_points = true;
+      move.range = {index, index};
+      pt.segmentation.moves.push_back(move);
+      ++index;
+    }
+    traj::StayPoint stay;
+    stay.range = {index, index};
+    pt.segmentation.stays.push_back(stay);
+    ++index;
+  }
+  pt.segmentation.moves.push_back(traj::MoveSegment{});
+  pt.candidates = traj::GenerateCandidates(stays);
+  pt.features = nn::Matrix::Uniform(index, core::kFeatureDims, 1.0f, &rng);
+  const core::HierarchicalAutoencoder ae(core::AutoencoderOptions{}, &rng);
+  std::vector<core::CandidateBatchItem> items;
+  for (const traj::Candidate& c : pt.candidates) items.push_back({&pt, c});
+  nn::NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ae.EncodeCandidateBatch(items).value().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(items.size()));
+}
+BENCHMARK(BM_Phase2Encode)->Arg(13);
 
 void BM_LstmTrainStep(benchmark::State& state) {
   // Forward + backward through a 64-step sequence (training-path cost).

@@ -15,8 +15,9 @@
 # LEAD_FAULT chaos point), an
 # observability pass (the lead and parity suites traced via the
 # LEAD_TRACE_OUT/LEAD_METRICS_OUT env autostart, with the emitted trace
-# checked for every pipeline category and the disabled-span/recorder-span
-# overhead benchmarks), a post-mortem pass (a LEAD_FAULT stall drives the
+# checked for every pipeline category, the disabled-span/recorder-span
+# overhead benchmarks and the inference-kernel microbenchmarks), a
+# post-mortem pass (a LEAD_FAULT stall drives the
 # watchdog into writing a leaddump-*.json that must render through
 # `lead_cli obs report` with the right cause, the sampling profiler must
 # attribute >=90% of fig8 samples to named span categories, and
@@ -105,7 +106,8 @@ cmake -B build-shapes -S . -DLEAD_CHECK_SHAPES=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
 SHAPE_TESTS=(matrix_test autograd_test layers_test optim_test optim2_test \
-             ops_reference_test batch_test autoencoder_test contract_test)
+             ops_reference_test batch_test autoencoder_test contract_test \
+             infer_kernel_test)
 cmake --build build-shapes -j --target "${SHAPE_TESTS[@]}"
 for t in "${SHAPE_TESTS[@]}"; do
   echo "--- $t (LEAD_CHECK_SHAPES) ---"
@@ -156,9 +158,12 @@ grep -q '"cat":"pool"' "$OBS_DIR/parity_trace.json" ||
   { echo "parity trace is missing category 'pool'" >&2; exit 1; }
 grep -q '"train.autoencoder.loss"' "$OBS_DIR/lead_metrics.json" ||
   { echo "metrics are missing the training loss series" >&2; exit 1; }
+# The fused no-grad inference kernels report next to the span guards:
+# the detector-shaped recurrence, the small-M GEMM blocks and the
+# prefix-shared phase-2 encode.
 cmake --build build -j --target micro_substrates >/dev/null
 ./build/bench/micro_substrates \
-  --benchmark_filter='BM_TraceOverhead|BM_RecorderSpan' \
+  --benchmark_filter='BM_TraceOverhead|BM_RecorderSpan|BM_LstmSequenceInfer|BM_Gemm/./64/256|BM_Phase2Encode' \
   --benchmark_min_time=0.05
 
 echo "=== post-mortem: anomaly dump + obs report + sampling profiler ==="
@@ -222,7 +227,7 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
 TSAN_TESTS=(obs_test parallel_parity_test resilience_test poi_test lead_test
-  plan_test chaos_test thread_pool_test fast_mode_test)
+  plan_test chaos_test thread_pool_test fast_mode_test infer_kernel_test)
 cmake --build build-tsan -j --target "${TSAN_TESTS[@]}"
 for t in "${TSAN_TESTS[@]}"; do
   echo "--- $t (TSan) ---"

@@ -1,5 +1,7 @@
 #include "core/autoencoder.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -8,6 +10,7 @@
 #include "common/check.h"
 #include "core/batching.h"
 #include "nn/batch.h"
+#include "nn/infer_kernels.h"
 #include "nn/ops.h"
 #include "nn/plan.h"
 
@@ -107,6 +110,100 @@ nn::Variable BucketWeights(const std::vector<int>& bucket_items,
   return nn::Variable::Constant(std::move(w));
 }
 
+// Phase 2 of the fused encode-only pass, shared by prefix (DESIGN.md,
+// "No-grad inference kernels"). Candidates (i, j) of one trajectory with
+// the same start stay i feed their phase-2 LSTMs identical inputs for
+// steps 0..j-i (the c-vecs of stays i, i+1, ... and of move slots i+1,
+// ...), and an LSTM row's state at step t depends only on its own inputs
+// up to t. So one sequence per (trajectory, start), as long as its
+// longest candidate, yields every candidate's hidden states: candidate
+// (i, j) reads steps 0..j-i and queries with step j-i. Sequences run
+// longest first, so the rows still live at step t are a prefix of the
+// batch and no masks are needed.
+nn::Variable EncodePrefixShared(const CompressionOperator& sp_op,
+                                const CompressionOperator& mp_op,
+                                const std::vector<CandidateBatchItem>& items,
+                                const std::vector<std::vector<int>>& sp_ids,
+                                const std::vector<std::vector<int>>& mp_ids,
+                                const CompressedBank& sp_bank,
+                                const CompressedBank& mp_bank) {
+  const int num_items = static_cast<int>(items.size());
+  // One group per (trajectory, start stay), represented by its longest
+  // candidate; every member's id lists are prefixes of the representative's.
+  std::map<std::pair<const ProcessedTrajectory*, int>, int> group_of_key;
+  std::vector<int> group_of(num_items);
+  std::vector<int> rep;
+  for (int i = 0; i < num_items; ++i) {
+    const auto [it, inserted] = group_of_key.try_emplace(
+        {items[i].pt, items[i].candidate.start_sp},
+        static_cast<int>(rep.size()));
+    const int g = it->second;
+    if (inserted) {
+      rep.push_back(i);
+    } else if (sp_ids[i].size() > sp_ids[rep[g]].size()) {
+      rep[g] = i;
+    }
+    group_of[i] = g;
+  }
+  const int num_groups = static_cast<int>(rep.size());
+  std::vector<int> order(num_groups);
+  for (int g = 0; g < num_groups; ++g) order[g] = g;
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return sp_ids[rep[a]].size() > sp_ids[rep[b]].size();
+  });
+  std::vector<int> rank(num_groups);
+  for (int r = 0; r < num_groups; ++r) rank[order[r]] = r;
+
+  std::vector<int> ranks(num_items);
+  std::vector<int> steps(num_items);
+  for (int i = 0; i < num_items; ++i) ranks[i] = rank[group_of[i]];
+  // Compresses every item's sequence of bank rows (-1: zero row) into
+  // out [num_items x output_dims].
+  auto compress = [&](const CompressionOperator& op,
+                      const CompressedBank& bank,
+                      const std::vector<std::vector<int>>& ids, float* out) {
+    const int max_len = static_cast<int>(ids[rep[order[0]]].size());
+    std::vector<int> step_rows(max_len, 0);
+    for (int g = 0; g < num_groups; ++g) {
+      for (size_t t = 0; t < ids[rep[g]].size(); ++t) ++step_rows[t];
+    }
+    const int dims = op.input_dims();
+    const nn::StackedLayout layout{max_len, step_rows[0], step_rows.data()};
+    nn::internal::ScratchLease x(static_cast<size_t>(layout.total_rows()) *
+                                 dims);
+    float* dst = x.data();
+    for (int t = 0; t < max_len; ++t) {
+      for (int r = 0; r < step_rows[t]; ++r, dst += dims) {
+        const int id = ids[rep[order[r]]][t];
+        if (id < 0) {
+          std::fill(dst, dst + dims, 0.0f);
+        } else {
+          const float* src = bank.rows.value().row(bank.row_of[id]);
+          std::copy(src, src + dims, dst);
+        }
+      }
+    }
+    for (int i = 0; i < num_items; ++i) {
+      steps[i] = static_cast<int>(ids[i].size());
+    }
+    op.InferPrefixes(layout, x.data(), ranks.data(), steps.data(), num_items,
+                     out);
+  };
+  const int h = sp_op.output_dims();
+  nn::internal::ScratchLease sp_out(static_cast<size_t>(num_items) * h);
+  nn::internal::ScratchLease mp_out(static_cast<size_t>(num_items) * h);
+  compress(sp_op, sp_bank, sp_ids, sp_out.data());
+  compress(mp_op, mp_bank, mp_ids, mp_out.data());
+  nn::Matrix cvecs(num_items, 2 * h);
+  for (int i = 0; i < num_items; ++i) {
+    const float* sp = sp_out.data() + static_cast<size_t>(i) * h;
+    const float* mp = mp_out.data() + static_cast<size_t>(i) * h;
+    std::copy(sp, sp + h, cvecs.row(i));
+    std::copy(mp, mp + h, cvecs.row(i) + h);
+  }
+  return nn::Variable::Constant(std::move(cvecs));
+}
+
 }  // namespace
 
 CompressionOperator::CompressionOperator(int input_dims, int hidden,
@@ -137,6 +234,14 @@ nn::Variable CompressionOperator::Forward(const nn::Variable& seq) const {
 
 nn::Variable CompressionOperator::ForwardBatch(
     const nn::StepBatch& input) const {
+  if (nn::internal::FusedInferenceActive()) {
+    const nn::internal::StackedStepBatch stacked(
+        input, input_dims(), "CompressionOperator::ForwardBatch");
+    nn::Matrix out(input.batch(), output_dims_);
+    InferStacked(stacked.layout(), stacked.x(), stacked.lengths(),
+                 out.data());
+    return nn::Variable::Constant(std::move(out));
+  }
   const std::vector<nn::Variable> hidden = lstm_.ForwardSequenceSteps(input);
   // The masked recurrence freezes finished rows, so hidden.back() row b is
   // row b's state at its own last valid step.
@@ -144,6 +249,64 @@ nn::Variable CompressionOperator::ForwardBatch(
                                       ? attention_->ForwardSteps(hidden, input)
                                       : hidden.back();
   return nn::Tanh(fc2_.Forward(fc1_.Forward(aggregated)));
+}
+
+void CompressionOperator::InferHead(const float* agg, int rows,
+                                    float* out) const {
+  nn::internal::ScratchLease fc1_out(static_cast<size_t>(rows) *
+                                     fc1_.out_features());
+  fc1_.InferRows(agg, rows, fc1_out.data());
+  fc2_.InferRows(fc1_out.data(), rows, out);
+  const size_t n = static_cast<size_t>(rows) * output_dims_;
+  for (size_t i = 0; i < n; ++i) out[i] = std::tanh(out[i]);
+}
+
+void CompressionOperator::InferStacked(const nn::StackedLayout& layout,
+                                       const float* x, const int* lengths,
+                                       float* out) const {
+  const int h = lstm_.hidden_size();
+  const int batch = layout.batch;
+  nn::internal::ScratchLease hidden(static_cast<size_t>(layout.steps) *
+                                    batch * h);
+  lstm_.InferStacked(layout, x, /*reversed=*/false, hidden.data(), h);
+  if (!use_attention_) {
+    // Masked rows are frozen, so the last step block holds every row's
+    // state at its own final valid step (hidden.back() on the op path).
+    InferHead(hidden.data() + static_cast<size_t>(layout.steps - 1) * batch * h,
+              batch, out);
+    return;
+  }
+  nn::internal::ScratchLease aggregated(static_cast<size_t>(batch) * h);
+  attention_->InferStacked(layout, hidden.data(), lengths, aggregated.data());
+  InferHead(aggregated.data(), batch, out);
+}
+
+void CompressionOperator::InferPrefixes(const nn::StackedLayout& layout,
+                                        const float* x, const int* ranks,
+                                        const int* steps, int num_queries,
+                                        float* out) const {
+  const int h = lstm_.hidden_size();
+  const int total = layout.total_rows();
+  nn::internal::ScratchLease hidden(static_cast<size_t>(total) * h);
+  lstm_.InferStacked(layout, x, /*reversed=*/false, hidden.data(), h);
+  std::vector<int> step_offset(layout.steps);
+  for (int t = 0, row = 0; t < layout.steps; row += layout.step_rows[t++]) {
+    step_offset[t] = row;
+  }
+  nn::internal::ScratchLease aggregated(static_cast<size_t>(num_queries) * h);
+  if (use_attention_) {
+    attention_->InferPrefixes(hidden.data(), total, step_offset.data(), ranks,
+                              steps, num_queries, aggregated.data());
+  } else {
+    for (int q = 0; q < num_queries; ++q) {
+      const float* last =
+          hidden.data() +
+          static_cast<size_t>(step_offset[steps[q] - 1] + ranks[q]) * h;
+      std::copy(last, last + h,
+                aggregated.data() + static_cast<size_t>(q) * h);
+    }
+  }
+  InferHead(aggregated.data(), num_queries, out);
 }
 
 DecompressionOperator::DecompressionOperator(int input_dims, int hidden,
@@ -412,9 +575,14 @@ nn::Variable HierarchicalAutoencoder::ForwardBatchHierarchical(
                              static_cast<float>(num_items));
   }
 
-  // Phase-1 compression, bucketed by segment length.
+  // Phase-1 compression, bucketed by segment length. Encode-only no-grad
+  // passes take the fused kernels and the prefix-shared phase 2.
   const CompressedBank sp_bank = CompressSegments(*comp_sp1_, items, sp_tasks);
   CompressedBank mp_bank = CompressSegments(*comp_mp1_, items, mp_tasks);
+  if (share_segments && nn::internal::FusedInferenceActive()) {
+    return EncodePrefixShared(*comp_sp2_, *comp_mp2_, items, sp_ids, mp_ids,
+                              sp_bank, mp_bank);
+  }
   // Zero mp-c-vec row for empty move slots (the CompressMove convention).
   int zero_row = static_cast<int>(mp_tasks.size());
   if (!mp_bank.rows.defined()) {

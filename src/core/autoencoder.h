@@ -58,9 +58,30 @@ class CompressionOperator : public nn::Module {
   // at its own final valid step.
   nn::Variable ForwardBatch(const nn::StepBatch& input) const;
 
+  // Fused no-grad form of ForwardBatch (nn/infer_kernels.h) over stacked
+  // inputs x [layout.total_rows() x input_dims] in the uniform
+  // StackedLayout order (nn/batch.h). `lengths` is non-null exactly when
+  // the batch is ragged (layout then carries the masks). Writes
+  // [batch x output_dims] to out, bit-identical to ForwardBatch.
+  void InferStacked(const nn::StackedLayout& layout, const float* x,
+                    const int* lengths, float* out) const;
+
+  // Fused no-grad compression of prefix-shared sequences: `layout` is a
+  // shrinking (step_rows) layout of sequences sorted longest first, and
+  // query q compresses the first steps[q] steps of the sequence at rank
+  // ranks[q]. Row q of out [num_queries x output_dims] is bit-identical to
+  // ForwardBatch over that prefix as a uniform batch.
+  void InferPrefixes(const nn::StackedLayout& layout, const float* x,
+                     const int* ranks, const int* steps, int num_queries,
+                     float* out) const;
+
+  int input_dims() const { return lstm_.input_size(); }
   int output_dims() const { return output_dims_; }
 
  private:
+  // fc1 -> fc2 -> tanh over aggregated rows agg [rows x hidden].
+  void InferHead(const float* agg, int rows, float* out) const;
+
   int output_dims_;
   bool use_attention_;
   nn::LstmCell lstm_;

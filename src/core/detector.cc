@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "core/batching.h"
 #include "core/grouping.h"
+#include "nn/infer_kernels.h"
 #include "nn/ops.h"
 
 namespace lead::core {
@@ -53,6 +54,12 @@ nn::Variable StackedBiLstmDetector::ScoreSubgroup(
 
 nn::Variable StackedBiLstmDetector::ScoreSubgroupsBatch(
     const nn::StepBatch& input) const {
+  if (nn::internal::FusedInferenceActive()) {
+    const nn::internal::StackedStepBatch stacked(
+        input, options_.input_dims,
+        "StackedBiLstmDetector::ScoreSubgroupsBatch");
+    return InferStacked(stacked.layout(), stacked.x());
+  }
   nn::StepBatch current = input;
   for (size_t l = 0; l < layers_.size(); ++l) {
     std::vector<nn::Variable> hidden = layers_[l]->ForwardSteps(current);
@@ -67,6 +74,33 @@ nn::Variable StackedBiLstmDetector::ScoreSubgroupsBatch(
     score_cols.push_back(score_->Forward(step));  // [B x 1]
   }
   return nn::ConcatCols(score_cols);  // [B x max_len]
+}
+
+nn::Variable StackedBiLstmDetector::InferStacked(
+    const nn::StackedLayout& layout, const float* x) const {
+  const int total = layout.total_rows();
+  const int h = options_.hidden;
+  nn::internal::ScratchLease both(static_cast<size_t>(total) * 2 * h);
+  nn::internal::ScratchLease ping(static_cast<size_t>(total) * h);
+  nn::internal::ScratchLease pong(static_cast<size_t>(total) * h);
+  const float* in = x;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    float* projected = (l % 2 == 0 ? ping : pong).data();
+    layers_[l]->InferStacked(layout, in, both.data());
+    projections_[l]->InferRows(both.data(), total, projected);
+    in = projected;
+  }
+  nn::internal::ScratchLease scores(static_cast<size_t>(total));
+  score_->InferRows(in, total, scores.data());
+  // Stacked row t * batch + b is step t of subgroup b: transpose into the
+  // [batch x steps] layout of ConcatCols over the per-step score columns.
+  nn::Matrix out(layout.batch, layout.steps);
+  for (int t = 0; t < layout.steps; ++t) {
+    for (int b = 0; b < layout.batch; ++b) {
+      out.at(b, t) = scores.data()[t * layout.batch + b];
+    }
+  }
+  return nn::Variable::Constant(std::move(out));
 }
 
 nn::Variable StackedBiLstmDetector::ScoreGrouped(

@@ -95,6 +95,15 @@ class StackedBiLstmDetector : public nn::Module {
   const DetectorOptions& options() const { return options_; }
 
  private:
+  // Fused no-grad scoring (nn/infer_kernels.h) over stacked subgroup rows
+  // x [steps * batch x input_dims] (uniform StackedLayout, nn/batch.h).
+  // Each layer's BiLSTM writes one [steps * batch x 2H] matrix, so the
+  // per-step ConcatCols / projection / score Linears become one GEMM plus
+  // bias each; rows are independent, so this is bit-identical to the
+  // per-step op path. Returns the [batch x steps] scores.
+  nn::Variable InferStacked(const nn::StackedLayout& layout,
+                            const float* x) const;
+
   DetectorOptions options_;
   std::vector<std::unique_ptr<nn::BiLstm>> layers_;
   std::vector<std::unique_ptr<nn::Linear>> projections_;  // 2h -> h

@@ -1048,6 +1048,10 @@ StatusOr<Detection> LeadModel::DetectProcessed(
   }
   if (hi > lo) {
     for (float& p : merged) p = (p - lo) / (hi - lo);
+  } else {
+    // A single candidate (2 stays) or an all-tied ranking: every
+    // candidate ties at the max, which the rescale maps to 1.
+    std::fill(merged.begin(), merged.end(), 1.0f);
   }
 
   Detection detection;
@@ -1441,6 +1445,8 @@ StatusOr<BatchDetection> LeadModel::DetectStreamFused(
     }
     if (hi > lo) {
       for (float& v : m) v = (v - lo) / (hi - lo);
+    } else {
+      std::fill(m.begin(), m.end(), 1.0f);  // all tied at the max
     }
     Detection detection;
     detection.num_stays = p.pt.num_stays();

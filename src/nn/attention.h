@@ -31,6 +31,22 @@ class LastQueryAttention : public Module {
   Variable ForwardSteps(const std::vector<Variable>& hidden_states,
                         const StepBatch& input) const;
 
+  // Fused no-grad form of ForwardSteps over stacked hidden states hs
+  // [steps * batch x hidden] (uniform StackedLayout order, batch.h).
+  // `lengths` is non-null exactly when the batch is ragged. Writes
+  // [batch x hidden] to out; bit-identical to ForwardSteps.
+  void InferStacked(const StackedLayout& layout, const float* hs,
+                    const int* lengths, float* out) const;
+
+  // Fused no-grad attention for prefix-shared sequences: hs holds
+  // total_rows stacked hidden states; query q's sequence is row
+  // step_offset[t] + ranks[q] for t < steps[q], and its own last step is
+  // the query. Writes [num_queries x hidden] to out, each row
+  // bit-identical to ForwardSteps over that sequence as a uniform batch.
+  void InferPrefixes(const float* hs, int total_rows, const int* step_offset,
+                     const int* ranks, const int* steps, int num_queries,
+                     float* out) const;
+
   int hidden_size() const { return hidden_size_; }
 
  private:

@@ -97,6 +97,13 @@ StepBatch PackViews(const std::vector<SeqView>& views) {
   return out;
 }
 
+int StackedLayout::total_rows() const {
+  if (step_rows == nullptr) return steps * batch;
+  int total = 0;
+  for (int t = 0; t < steps; ++t) total += step_rows[t];
+  return total;
+}
+
 Variable MaskedUpdate(const Variable& fresh, const Variable& prev,
                       const Variable& mask, const Variable& inv_mask) {
   contract::RequireSameShape("MaskedUpdate", fresh.value(), prev.value());

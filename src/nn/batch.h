@@ -53,6 +53,23 @@ struct StepBatch {
 // into time-major step constants; builds masks only when lengths differ.
 [[nodiscard]] StepBatch PackViews(const std::vector<SeqView>& views);
 
+// Time-major stacked layout of a sequence batch, the operand format of
+// the fused no-grad kernels (infer_kernels.h): step t owns a block of
+// consecutive rows, blocks in step order. A uniform or ragged batch has
+// `batch` rows per step (row t * batch + b is step t of sequence b); a
+// prefix-shared batch instead lists each step's live rows in step_rows
+// (non-increasing, sequences sorted longest first), so finished
+// sequences drop off the end of the block instead of being masked.
+struct StackedLayout {
+  int steps = 0;
+  int batch = 0;                    // rows of step 0
+  const int* step_rows = nullptr;   // null: `batch` rows every step
+  const float* mask = nullptr;      // ragged only: [total_rows()] 1 / 0
+  const float* inv_mask = nullptr;  // 1 - mask
+
+  [[nodiscard]] int total_rows() const;
+};
+
 // Masked state update: fresh where mask is 1, prev where it is 0
 // (rowwise). Shorthand for Add(ScaleRows(fresh, m), ScaleRows(prev, im)).
 [[nodiscard]] Variable MaskedUpdate(const Variable& fresh, const Variable& prev,

@@ -75,15 +75,19 @@ inline void RequireIndex(const char* op, const Matrix& a, int index,
     Fail(op, requirement, a.rows(), a.cols(), index, bound);
   }
 }
-// Scans for the first non-finite element; aborts naming the op.
-inline void RequireFinite(const char* op, const char* what, const Matrix& m) {
-  const float* d = m.data();
-  for (int i = 0; i < m.size(); ++i) {
+// Scans a raw row-major [rows x cols] buffer for the first non-finite
+// element; aborts naming the op.
+inline void RequireFiniteRaw(const char* op, const char* what,
+                             const float* d, int rows, int cols) {
+  for (int i = 0; i < rows * cols; ++i) {
     if (!std::isfinite(d[i])) {
-      const int cols = m.cols() > 0 ? m.cols() : 1;
-      NonFiniteFail(op, what, i / cols, i % cols, d[i]);
+      const int stride = cols > 0 ? cols : 1;
+      NonFiniteFail(op, what, i / stride, i % stride, d[i]);
     }
   }
+}
+inline void RequireFinite(const char* op, const char* what, const Matrix& m) {
+  RequireFiniteRaw(op, what, m.data(), m.rows(), m.cols());
 }
 
 #else
@@ -96,6 +100,8 @@ inline void RequireInner(const char*, const Matrix&, const Matrix&) {}
 inline void RequireSpan(const char*, const Matrix&, int, int, int,
                         const char*) {}
 inline void RequireIndex(const char*, const Matrix&, int, int, const char*) {}
+inline void RequireFiniteRaw(const char*, const char*, const float*, int,
+                             int) {}
 inline void RequireFinite(const char*, const char*, const Matrix&) {}
 
 #endif  // LEAD_CHECK_SHAPES

@@ -18,4 +18,10 @@ Variable Linear::Forward(const Variable& x) const {
   return Add(MatMul(x, weight_), bias_);
 }
 
+void Linear::InferRows(const float* x, int rows, float* out) const {
+  GemmOverwriteRaw(x, weight_.value().data(), out, rows, in_features_,
+                   out_features_);
+  EwAddBiasRowRaw(out, bias_.value().data(), out, rows, out_features_);
+}
+
 }  // namespace lead::nn

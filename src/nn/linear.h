@@ -14,6 +14,12 @@ class Linear : public Module {
   // x: [T x in] -> [T x out]; the bias row broadcasts over T.
   Variable Forward(const Variable& x) const;
 
+  // Raw no-grad form of Forward for the fused inference kernels:
+  // out [rows x out] = x [rows x in] W + b, the same GEMM and bias-add
+  // kernels in the same order, so bit-identical row for row. out may not
+  // alias x.
+  void InferRows(const float* x, int rows, float* out) const;
+
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
 

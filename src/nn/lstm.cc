@@ -1,12 +1,32 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
 #include "nn/contract.h"
+#include "nn/infer_kernels.h"
 #include "nn/init.h"
 
 namespace lead::nn {
+
+namespace {
+
+// Per-step [batch x h] constants from stacked hidden states.
+std::vector<Variable> SplitSteps(const float* hs, int steps, int batch,
+                                 int h) {
+  std::vector<Variable> out;
+  out.reserve(steps);
+  for (int t = 0; t < steps; ++t) {
+    const float* block = hs + static_cast<size_t>(t) * batch * h;
+    Matrix step(batch, h);
+    std::copy(block, block + step.size(), step.data());
+    out.push_back(Variable::Constant(std::move(step)));
+  }
+  return out;
+}
+
+}  // namespace
 
 LstmCell::LstmCell(int input_size, int hidden_size, Rng* rng)
     : input_size_(input_size), hidden_size_(hidden_size) {
@@ -52,6 +72,12 @@ Variable LstmCell::ForwardSequence(const Variable& x) const {
   LEAD_CHECK_EQ(x.cols(), input_size_);
   const int steps = x.rows();
   LEAD_CHECK_GT(steps, 0);
+  if (internal::FusedInferenceActive()) {
+    Matrix out(steps, hidden_size_);
+    InferStacked(StackedLayout{steps, 1}, x.value().data(),
+                 /*reversed=*/false, out.data(), hidden_size_);
+    return Variable::Constant(std::move(out));
+  }
   // One matmul for the input projection of every step.
   const Variable input_proj = MatMul(x, w_ih_);
   State state = InitialState();
@@ -70,6 +96,10 @@ std::vector<Variable> LstmCell::ForwardSequenceSteps(
     const StepBatch& input) const {
   const int steps = input.max_len();
   LEAD_CHECK_GT(steps, 0);
+  if (internal::FusedInferenceActive()) {
+    return InferSteps(input, /*reversed=*/false,
+                      "LstmCell::ForwardSequenceSteps");
+  }
   State state = InitialState(input.batch());
   std::vector<Variable> hidden_states;
   hidden_states.reserve(steps);
@@ -97,6 +127,10 @@ std::vector<Variable> LstmCell::ForwardSequenceStepsReversed(
     const StepBatch& input) const {
   const int steps = input.max_len();
   LEAD_CHECK_GT(steps, 0);
+  if (internal::FusedInferenceActive()) {
+    return InferSteps(input, /*reversed=*/true,
+                      "LstmCell::ForwardSequenceStepsReversed");
+  }
   // Same masked recurrence over the reversed step order. A ragged row's
   // padded steps come first in this order, so the masks keep its state at
   // zero until its real last step enters the window.
@@ -128,6 +162,13 @@ std::vector<Variable> LstmCell::ForwardConstantInputSteps(const Variable& v,
                         input_size_, "constant input must be [B x input_size]");
   LEAD_CHECK_EQ(v.cols(), input_size_);
   LEAD_CHECK_GT(steps, 0);
+  if (internal::FusedInferenceActive()) {
+    const int batch = v.rows();
+    internal::ScratchLease hs(static_cast<size_t>(steps) * batch *
+                              hidden_size_);
+    InferConstant(v.value().data(), batch, steps, hs.data(), hidden_size_);
+    return SplitSteps(hs.data(), steps, batch, hidden_size_);
+  }
   const Variable input_proj = MatMul(v, w_ih_);  // [B x 4H], reused
   State state = InitialState(v.rows());
   std::vector<Variable> hidden_states;
@@ -147,6 +188,11 @@ Variable LstmCell::ForwardConstantInput(const Variable& v, int steps) const {
   LEAD_CHECK_EQ(v.rows(), 1);
   LEAD_CHECK_EQ(v.cols(), input_size_);
   LEAD_CHECK_GT(steps, 0);
+  if (internal::FusedInferenceActive()) {
+    Matrix out(steps, hidden_size_);
+    InferConstant(v.value().data(), 1, steps, out.data(), hidden_size_);
+    return Variable::Constant(std::move(out));
+  }
   const Variable input_proj = MatMul(v, w_ih_);  // [1 x 4H], reused
   State state = InitialState();
   std::vector<Variable> hidden_states;
@@ -158,6 +204,64 @@ Variable LstmCell::ForwardConstantInput(const Variable& v, int steps) const {
     hidden_states.push_back(state.h);
   }
   return ConcatRows(hidden_states);
+}
+
+std::vector<Variable> LstmCell::InferSteps(const StepBatch& input,
+                                           bool reversed,
+                                           const char* op) const {
+  const internal::StackedStepBatch stacked(input, input_size_, op);
+  internal::ScratchLease hs(static_cast<size_t>(input.max_len()) *
+                            input.batch() * hidden_size_);
+  InferStacked(stacked.layout(), stacked.x(), reversed, hs.data(),
+               hidden_size_);
+  return SplitSteps(hs.data(), input.max_len(), input.batch(), hidden_size_);
+}
+
+void LstmCell::InferStacked(const StackedLayout& layout, const float* x,
+                            bool reversed, float* out,
+                            int out_stride) const {
+  const int total = layout.total_rows();
+  const int g4 = 4 * hidden_size_;
+  // The input projection of every step in one GEMM: rows are
+  // independent and each keeps its k-order, so this matches the per-step
+  // MatMul(x_t, w_ih) bit for bit.
+  internal::ScratchLease proj(static_cast<size_t>(total) * g4);
+  GemmOverwriteRaw(x, w_ih_.value().data(), proj.data(), total, input_size_,
+                   g4);
+  RunRecurrence(proj.data(), /*shared_proj=*/false, layout, reversed, out,
+                out_stride, "LstmCell::InferStacked");
+}
+
+void LstmCell::InferConstant(const float* v, int batch, int steps,
+                             float* out, int out_stride) const {
+  const int g4 = 4 * hidden_size_;
+  internal::ScratchLease proj(static_cast<size_t>(batch) * g4);
+  GemmOverwriteRaw(v, w_ih_.value().data(), proj.data(), batch, input_size_,
+                   g4);
+  RunRecurrence(proj.data(), /*shared_proj=*/true, StackedLayout{steps, batch},
+                /*reversed=*/false, out, out_stride, "LstmCell::InferConstant");
+}
+
+void LstmCell::RunRecurrence(const float* proj, bool shared_proj,
+                             const StackedLayout& layout, bool reversed,
+                             float* out, int out_stride,
+                             const char* op) const {
+  internal::LstmRecurrence r;
+  r.w_hh = w_hh_.value().data();
+  r.bias = bias_.value().data();
+  r.hidden = hidden_size_;
+  r.proj = proj;
+  r.shared_proj = shared_proj;
+  r.out = out;
+  r.out_stride = out_stride;
+  r.steps = layout.steps;
+  r.batch = layout.batch;
+  r.step_rows = layout.step_rows;
+  r.mask = layout.mask;
+  r.inv_mask = layout.inv_mask;
+  r.reversed = reversed;
+  r.op = op;
+  internal::RunLstmRecurrence(r);
 }
 
 BiLstm::BiLstm(int input_size, int hidden_size, Rng* rng)
@@ -186,6 +290,13 @@ std::vector<Variable> BiLstm::ForwardSteps(const StepBatch& input) const {
     out.push_back(ConcatCols({fwd[t], bwd[t]}));
   }
   return out;
+}
+
+void BiLstm::InferStacked(const StackedLayout& layout, const float* x,
+                          float* out) const {
+  const int h = hidden_size();
+  forward_.InferStacked(layout, x, /*reversed=*/false, out, 2 * h);
+  backward_.InferStacked(layout, x, /*reversed=*/true, out + h, 2 * h);
 }
 
 }  // namespace lead::nn

@@ -61,10 +61,35 @@ class LstmCell : public Module {
   std::vector<Variable> ForwardConstantInputSteps(const Variable& v,
                                                   int steps) const;
 
+  // Fused no-grad forward (infer_kernels.h) over stacked rows: x
+  // [layout.total_rows() x input_size] in the StackedLayout order (batch.h).
+  // The hidden state of every row is written to out + row * out_stride.
+  // Bit-identical to ForwardSequenceSteps / ForwardSequenceStepsReversed
+  // over the same rows; a prefix-shared layout (step_rows) must run
+  // forward. Every public forward above takes this path under
+  // NoGradGuard when no plan is being recorded.
+  void InferStacked(const StackedLayout& layout, const float* x,
+                    bool reversed, float* out, int out_stride) const;
+
+  // Fused constant-input unroll: v [batch x input_size] is fed at every
+  // step; the hidden state of step t, row b lands at row t * batch + b of
+  // out. Bit-identical to ForwardConstantInputSteps.
+  void InferConstant(const float* v, int batch, int steps, float* out,
+                     int out_stride) const;
+
   int input_size() const { return input_size_; }
   int hidden_size() const { return hidden_size_; }
 
  private:
+  // Fused path of the StepBatch forwards: per-step [B x H] outputs.
+  std::vector<Variable> InferSteps(const StepBatch& input, bool reversed,
+                                   const char* op) const;
+  // Runs the fused recurrence (infer_kernels.h) over input projections
+  // `proj`: one block per step, or one block shared by every step.
+  void RunRecurrence(const float* proj, bool shared_proj,
+                     const StackedLayout& layout, bool reversed, float* out,
+                     int out_stride, const char* op) const;
+
   // Shared epilogue: applies gate nonlinearities to preactivations
   // [B x 4H] and advances the state.
   State ApplyGates(const Variable& preact, const State& prev) const;
@@ -89,6 +114,12 @@ class BiLstm : public Module {
   // direction iterates the packed steps in reverse; masked updates keep a
   // ragged row's state zero until its own last step enters the window.
   std::vector<Variable> ForwardSteps(const StepBatch& input) const;
+
+  // Fused no-grad forward over stacked rows (LstmCell::InferStacked):
+  // writes the [total_rows x 2H] concatenation of both directions, row
+  // by row, to out. Bit-identical to ForwardSteps.
+  void InferStacked(const StackedLayout& layout, const float* x,
+                    float* out) const;
 
   int hidden_size() const { return forward_.hidden_size(); }
 

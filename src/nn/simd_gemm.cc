@@ -11,8 +11,11 @@
 // accumulates against it. The dominant detector/autoencoder shapes have
 // k*n up to 64x256 (64 KiB), so streaming `b` once per strip instead of
 // once per 4-row block is the difference between L1 and L2 feeding the
-// inner loop. Within one output element nothing reorders: products still
-// accumulate over p = 0..k-1 in sequence, each rounded, then added.
+// inner loop. The 1-3 rows left after the 4-row blocks (the detector's
+// buckets are ~3 sequences) run as one block over every column, sharing
+// each b load instead of re-streaming b per row. Within one output
+// element nothing reorders: products still accumulate over p = 0..k-1 in
+// sequence, each rounded, then added.
 #include "nn/simd_gemm.h"
 
 #include <cstddef>
@@ -34,159 +37,122 @@ bool GemmAvx2Available() {
 
 namespace {
 
-// kAccumulate selects out += a*b vs out = a*b. The overwrite variant
-// starts the register accumulators at zero — bit-identical to
-// accumulating into a zero-filled buffer, minus the fill and reload.
+template <typename T>
+inline T* RowOf(T* base, int r, int stride) {
+  return base + static_cast<size_t>(r) * static_cast<size_t>(stride);
+}
+
+// One R-row x (V * 8)-column output tile. The R rows share every load of
+// the b strip; each output cell still starts at its old value (or zero)
+// and accumulates p = 0..k-1 in order, product rounded then added, so the
+// tile shape never changes a bit. kAccumulate selects out += a*b vs
+// out = a*b (zero-started registers, bit-identical to accumulating into a
+// zero-filled buffer).
+template <int R, int V, bool kAccumulate>
+inline void Tile(const float* a, const float* b, float* out, int k, int n,
+                 int i, int j) {
+  __m256 c[R][V];
+  const float* ar[R];
+  float* orow[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    ar[r] = RowOf(a, i + r, k);
+    orow[r] = RowOf(out, i + r, n) + j;
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      c[r][v] = kAccumulate ? _mm256_loadu_ps(orow[r] + 8 * v)
+                            : _mm256_setzero_ps();
+    }
+  }
+  const float* bp = b + j;
+  for (int p = 0; p < k; ++p, bp += n) {
+    __m256 bv[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(bp + 8 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 va = _mm256_set1_ps(ar[r][p]);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        c[r][v] = _mm256_add_ps(c[r][v], _mm256_mul_ps(va, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) _mm256_storeu_ps(orow[r] + 8 * v, c[r][v]);
+  }
+}
+
+// Scalar R-row x 1-column tile for the columns past the last 8-wide
+// strip; same per-cell order as the vector tiles.
+template <int R, bool kAccumulate>
+inline void ColumnTile(const float* a, const float* b, float* out, int k,
+                       int n, int i, int j) {
+  float c[R];
+  const float* ar[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    ar[r] = RowOf(a, i + r, k);
+    c[r] = kAccumulate ? RowOf(out, i + r, n)[j] : 0.0f;
+  }
+  const float* bp = b + j;
+  for (int p = 0; p < k; ++p, bp += n) {
+    const float bj = *bp;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) c[r] += ar[r][p] * bj;
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) RowOf(out, i + r, n)[j] = c[r];
+}
+
+// Every 4-row block across one column strip (the strip of b stays in L1
+// while every block of rows accumulates against it).
+template <int V, bool kAccumulate>
+inline void Strip(const float* a, const float* b, float* out, int m4, int k,
+                  int n, int j) {
+  for (int i = 0; i < m4; i += 4) {
+    Tile<4, V, kAccumulate>(a, b, out, k, n, i, j);
+  }
+}
+
+template <bool kAccumulate>
+inline void ColumnStrip(const float* a, const float* b, float* out, int m4,
+                        int k, int n, int j) {
+  for (int i = 0; i < m4; i += 4) {
+    ColumnTile<4, kAccumulate>(a, b, out, k, n, i, j);
+  }
+}
+
+// The 1-3 rows left after the 4-row blocks, as one block sweeping every
+// column: the rows share each b load, and wider tiles give each row more
+// independent accumulators (within the 16 ymm registers).
+template <int R, bool kAccumulate>
+inline void LeftoverRows(const float* a, const float* b, float* out, int k,
+                         int n, int i) {
+  constexpr int kWide = R == 3 ? 3 : 4;
+  int j = 0;
+  for (; j + 8 * kWide <= n; j += 8 * kWide) {
+    Tile<R, kWide, kAccumulate>(a, b, out, k, n, i, j);
+  }
+  for (; j + 8 <= n; j += 8) Tile<R, 1, kAccumulate>(a, b, out, k, n, i, j);
+  for (; j < n; ++j) ColumnTile<R, kAccumulate>(a, b, out, k, n, i, j);
+}
+
 template <bool kAccumulate>
 void GemmAvx2Impl(const float* a, const float* b, float* out, int m, int k,
                   int n) {
-  auto row_of = [](const float* base, int r, int stride) {
-    return base + static_cast<size_t>(r) * static_cast<size_t>(stride);
-  };
+  const int m4 = m - m % 4;
   int j = 0;
-  for (; j + 16 <= n; j += 16) {
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = row_of(a, i, k);
-      const float* a1 = row_of(a, i + 1, k);
-      const float* a2 = row_of(a, i + 2, k);
-      const float* a3 = row_of(a, i + 3, k);
-      float* o0 = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float* o1 = o0 + n;
-      float* o2 = o1 + n;
-      float* o3 = o2 + n;
-      __m256 c00 = kAccumulate ? _mm256_loadu_ps(o0) : _mm256_setzero_ps();
-      __m256 c01 =
-          kAccumulate ? _mm256_loadu_ps(o0 + 8) : _mm256_setzero_ps();
-      __m256 c10 = kAccumulate ? _mm256_loadu_ps(o1) : _mm256_setzero_ps();
-      __m256 c11 =
-          kAccumulate ? _mm256_loadu_ps(o1 + 8) : _mm256_setzero_ps();
-      __m256 c20 = kAccumulate ? _mm256_loadu_ps(o2) : _mm256_setzero_ps();
-      __m256 c21 =
-          kAccumulate ? _mm256_loadu_ps(o2 + 8) : _mm256_setzero_ps();
-      __m256 c30 = kAccumulate ? _mm256_loadu_ps(o3) : _mm256_setzero_ps();
-      __m256 c31 =
-          kAccumulate ? _mm256_loadu_ps(o3 + 8) : _mm256_setzero_ps();
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        const __m256 b0 = _mm256_loadu_ps(bp);
-        const __m256 b1 = _mm256_loadu_ps(bp + 8);
-        __m256 va = _mm256_set1_ps(a0[p]);
-        c00 = _mm256_add_ps(c00, _mm256_mul_ps(va, b0));
-        c01 = _mm256_add_ps(c01, _mm256_mul_ps(va, b1));
-        va = _mm256_set1_ps(a1[p]);
-        c10 = _mm256_add_ps(c10, _mm256_mul_ps(va, b0));
-        c11 = _mm256_add_ps(c11, _mm256_mul_ps(va, b1));
-        va = _mm256_set1_ps(a2[p]);
-        c20 = _mm256_add_ps(c20, _mm256_mul_ps(va, b0));
-        c21 = _mm256_add_ps(c21, _mm256_mul_ps(va, b1));
-        va = _mm256_set1_ps(a3[p]);
-        c30 = _mm256_add_ps(c30, _mm256_mul_ps(va, b0));
-        c31 = _mm256_add_ps(c31, _mm256_mul_ps(va, b1));
-      }
-      _mm256_storeu_ps(o0, c00);
-      _mm256_storeu_ps(o0 + 8, c01);
-      _mm256_storeu_ps(o1, c10);
-      _mm256_storeu_ps(o1 + 8, c11);
-      _mm256_storeu_ps(o2, c20);
-      _mm256_storeu_ps(o2 + 8, c21);
-      _mm256_storeu_ps(o3, c30);
-      _mm256_storeu_ps(o3 + 8, c31);
-    }
-    for (; i < m; ++i) {
-      const float* ai = row_of(a, i, k);
-      float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      __m256 c0 = kAccumulate ? _mm256_loadu_ps(oi) : _mm256_setzero_ps();
-      __m256 c1 =
-          kAccumulate ? _mm256_loadu_ps(oi + 8) : _mm256_setzero_ps();
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        const __m256 va = _mm256_set1_ps(ai[p]);
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(va, _mm256_loadu_ps(bp)));
-        c1 = _mm256_add_ps(c1, _mm256_mul_ps(va, _mm256_loadu_ps(bp + 8)));
-      }
-      _mm256_storeu_ps(oi, c0);
-      _mm256_storeu_ps(oi + 8, c1);
-    }
-  }
-  for (; j + 8 <= n; j += 8) {
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = row_of(a, i, k);
-      const float* a1 = row_of(a, i + 1, k);
-      const float* a2 = row_of(a, i + 2, k);
-      const float* a3 = row_of(a, i + 3, k);
-      float* o0 = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float* o1 = o0 + n;
-      float* o2 = o1 + n;
-      float* o3 = o2 + n;
-      __m256 c0 = kAccumulate ? _mm256_loadu_ps(o0) : _mm256_setzero_ps();
-      __m256 c1 = kAccumulate ? _mm256_loadu_ps(o1) : _mm256_setzero_ps();
-      __m256 c2 = kAccumulate ? _mm256_loadu_ps(o2) : _mm256_setzero_ps();
-      __m256 c3 = kAccumulate ? _mm256_loadu_ps(o3) : _mm256_setzero_ps();
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        const __m256 bv = _mm256_loadu_ps(bp);
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(a0[p]), bv));
-        c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(a1[p]), bv));
-        c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(a2[p]), bv));
-        c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(a3[p]), bv));
-      }
-      _mm256_storeu_ps(o0, c0);
-      _mm256_storeu_ps(o1, c1);
-      _mm256_storeu_ps(o2, c2);
-      _mm256_storeu_ps(o3, c3);
-    }
-    for (; i < m; ++i) {
-      const float* ai = row_of(a, i, k);
-      float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      __m256 c = kAccumulate ? _mm256_loadu_ps(oi) : _mm256_setzero_ps();
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        c = _mm256_add_ps(c, _mm256_mul_ps(_mm256_set1_ps(ai[p]),
-                                           _mm256_loadu_ps(bp)));
-      }
-      _mm256_storeu_ps(oi, c);
-    }
-  }
-  for (; j < n; ++j) {
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = row_of(a, i, k);
-      const float* a1 = row_of(a, i + 1, k);
-      const float* a2 = row_of(a, i + 2, k);
-      const float* a3 = row_of(a, i + 3, k);
-      float* o0 = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float* o1 = o0 + n;
-      float* o2 = o1 + n;
-      float* o3 = o2 + n;
-      float c0 = kAccumulate ? *o0 : 0.0f;
-      float c1 = kAccumulate ? *o1 : 0.0f;
-      float c2 = kAccumulate ? *o2 : 0.0f;
-      float c3 = kAccumulate ? *o3 : 0.0f;
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        const float bj = *bp;
-        c0 += a0[p] * bj;
-        c1 += a1[p] * bj;
-        c2 += a2[p] * bj;
-        c3 += a3[p] * bj;
-      }
-      *o0 = c0;
-      *o1 = c1;
-      *o2 = c2;
-      *o3 = c3;
-    }
-    for (; i < m; ++i) {
-      const float* ai = row_of(a, i, k);
-      float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float c = kAccumulate ? *oi : 0.0f;
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        c += ai[p] * *bp;
-      }
-      *oi = c;
-    }
+  for (; j + 16 <= n; j += 16) Strip<2, kAccumulate>(a, b, out, m4, k, n, j);
+  for (; j + 8 <= n; j += 8) Strip<1, kAccumulate>(a, b, out, m4, k, n, j);
+  for (; j < n; ++j) ColumnStrip<kAccumulate>(a, b, out, m4, k, n, j);
+  switch (m - m4) {
+    case 3: LeftoverRows<3, kAccumulate>(a, b, out, k, n, m4); break;
+    case 2: LeftoverRows<2, kAccumulate>(a, b, out, k, n, m4); break;
+    case 1: LeftoverRows<1, kAccumulate>(a, b, out, k, n, m4); break;
+    default: break;
   }
 }
 

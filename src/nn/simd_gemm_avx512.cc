@@ -8,10 +8,10 @@
 // _mm512_mul_ps + _mm512_add_ps reproduce the scalar sequence exactly,
 // lane by lane.
 //
-// Same column-strip-outer loop order as the AVX2 file: one 16/32-column
-// strip of `b` stays hot in L1 while every output row block accumulates
-// against it, and output tiles live in registers from first product to
-// final store.
+// Same loop order as the AVX2 file: one 16-64-column strip of `b` stays
+// hot in L1 while every 4-row block accumulates against it, the 1-3
+// leftover rows run as one block sharing each b load, and output tiles
+// live in registers from first product to final store.
 #include "nn/simd_gemm.h"
 
 #include <cstddef>
@@ -33,159 +33,121 @@ bool GemmAvx512Available() {
 
 namespace {
 
-// kAccumulate selects out += a*b vs out = a*b. The overwrite variant
-// starts the register accumulators at zero — bit-identical to
-// accumulating into a zero-filled buffer, minus the fill and reload.
+template <typename T>
+inline T* RowOf(T* base, int r, int stride) {
+  return base + static_cast<size_t>(r) * static_cast<size_t>(stride);
+}
+
+// One R-row x (V * 16)-column output tile. The R rows share every load of
+// the b strip; each output cell still starts at its old value (or zero)
+// and accumulates p = 0..k-1 in order, product rounded then added, so the
+// tile shape never changes a bit. kAccumulate selects out += a*b vs
+// out = a*b (zero-started registers, bit-identical to accumulating into a
+// zero-filled buffer).
+template <int R, int V, bool kAccumulate>
+inline void Tile(const float* a, const float* b, float* out, int k, int n,
+                 int i, int j) {
+  __m512 c[R][V];
+  const float* ar[R];
+  float* orow[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    ar[r] = RowOf(a, i + r, k);
+    orow[r] = RowOf(out, i + r, n) + j;
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      c[r][v] = kAccumulate ? _mm512_loadu_ps(orow[r] + 16 * v)
+                            : _mm512_setzero_ps();
+    }
+  }
+  const float* bp = b + j;
+  for (int p = 0; p < k; ++p, bp += n) {
+    __m512 bv[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) bv[v] = _mm512_loadu_ps(bp + 16 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m512 va = _mm512_set1_ps(ar[r][p]);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        c[r][v] = _mm512_add_ps(c[r][v], _mm512_mul_ps(va, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) _mm512_storeu_ps(orow[r] + 16 * v, c[r][v]);
+  }
+}
+
+// Scalar R-row x 1-column tile for the columns past the last 16-wide
+// strip; same per-cell order as the vector tiles.
+template <int R, bool kAccumulate>
+inline void ColumnTile(const float* a, const float* b, float* out, int k,
+                       int n, int i, int j) {
+  float c[R];
+  const float* ar[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    ar[r] = RowOf(a, i + r, k);
+    c[r] = kAccumulate ? RowOf(out, i + r, n)[j] : 0.0f;
+  }
+  const float* bp = b + j;
+  for (int p = 0; p < k; ++p, bp += n) {
+    const float bj = *bp;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) c[r] += ar[r][p] * bj;
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) RowOf(out, i + r, n)[j] = c[r];
+}
+
+// One 4-row block across one column strip (the strip of b stays in L1
+// while every block of rows accumulates against it).
+template <int V, bool kAccumulate>
+inline void Strip(const float* a, const float* b, float* out, int m4, int k,
+                  int n, int j) {
+  for (int i = 0; i < m4; i += 4) {
+    Tile<4, V, kAccumulate>(a, b, out, k, n, i, j);
+  }
+}
+
+template <bool kAccumulate>
+inline void ColumnStrip(const float* a, const float* b, float* out, int m4,
+                        int k, int n, int j) {
+  for (int i = 0; i < m4; i += 4) {
+    ColumnTile<4, kAccumulate>(a, b, out, k, n, i, j);
+  }
+}
+
+// The 1-3 rows left after the 4-row blocks, as one block sweeping every
+// column: the rows share each b load, and the wider 64-column tiles give
+// each row four independent accumulators.
+template <int R, bool kAccumulate>
+inline void LeftoverRows(const float* a, const float* b, float* out, int k,
+                         int n, int i) {
+  int j = 0;
+  for (; j + 64 <= n; j += 64) Tile<R, 4, kAccumulate>(a, b, out, k, n, i, j);
+  for (; j + 32 <= n; j += 32) Tile<R, 2, kAccumulate>(a, b, out, k, n, i, j);
+  for (; j + 16 <= n; j += 16) Tile<R, 1, kAccumulate>(a, b, out, k, n, i, j);
+  for (; j < n; ++j) ColumnTile<R, kAccumulate>(a, b, out, k, n, i, j);
+}
+
 template <bool kAccumulate>
 void GemmAvx512Impl(const float* a, const float* b, float* out, int m,
                     int k, int n) {
-  auto row_of = [](const float* base, int r, int stride) {
-    return base + static_cast<size_t>(r) * static_cast<size_t>(stride);
-  };
+  const int m4 = m - m % 4;
   int j = 0;
-  for (; j + 32 <= n; j += 32) {
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = row_of(a, i, k);
-      const float* a1 = row_of(a, i + 1, k);
-      const float* a2 = row_of(a, i + 2, k);
-      const float* a3 = row_of(a, i + 3, k);
-      float* o0 = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float* o1 = o0 + n;
-      float* o2 = o1 + n;
-      float* o3 = o2 + n;
-      __m512 c00 = kAccumulate ? _mm512_loadu_ps(o0) : _mm512_setzero_ps();
-      __m512 c01 =
-          kAccumulate ? _mm512_loadu_ps(o0 + 16) : _mm512_setzero_ps();
-      __m512 c10 = kAccumulate ? _mm512_loadu_ps(o1) : _mm512_setzero_ps();
-      __m512 c11 =
-          kAccumulate ? _mm512_loadu_ps(o1 + 16) : _mm512_setzero_ps();
-      __m512 c20 = kAccumulate ? _mm512_loadu_ps(o2) : _mm512_setzero_ps();
-      __m512 c21 =
-          kAccumulate ? _mm512_loadu_ps(o2 + 16) : _mm512_setzero_ps();
-      __m512 c30 = kAccumulate ? _mm512_loadu_ps(o3) : _mm512_setzero_ps();
-      __m512 c31 =
-          kAccumulate ? _mm512_loadu_ps(o3 + 16) : _mm512_setzero_ps();
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        const __m512 b0 = _mm512_loadu_ps(bp);
-        const __m512 b1 = _mm512_loadu_ps(bp + 16);
-        __m512 va = _mm512_set1_ps(a0[p]);
-        c00 = _mm512_add_ps(c00, _mm512_mul_ps(va, b0));
-        c01 = _mm512_add_ps(c01, _mm512_mul_ps(va, b1));
-        va = _mm512_set1_ps(a1[p]);
-        c10 = _mm512_add_ps(c10, _mm512_mul_ps(va, b0));
-        c11 = _mm512_add_ps(c11, _mm512_mul_ps(va, b1));
-        va = _mm512_set1_ps(a2[p]);
-        c20 = _mm512_add_ps(c20, _mm512_mul_ps(va, b0));
-        c21 = _mm512_add_ps(c21, _mm512_mul_ps(va, b1));
-        va = _mm512_set1_ps(a3[p]);
-        c30 = _mm512_add_ps(c30, _mm512_mul_ps(va, b0));
-        c31 = _mm512_add_ps(c31, _mm512_mul_ps(va, b1));
-      }
-      _mm512_storeu_ps(o0, c00);
-      _mm512_storeu_ps(o0 + 16, c01);
-      _mm512_storeu_ps(o1, c10);
-      _mm512_storeu_ps(o1 + 16, c11);
-      _mm512_storeu_ps(o2, c20);
-      _mm512_storeu_ps(o2 + 16, c21);
-      _mm512_storeu_ps(o3, c30);
-      _mm512_storeu_ps(o3 + 16, c31);
-    }
-    for (; i < m; ++i) {
-      const float* ai = row_of(a, i, k);
-      float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      __m512 c0 = kAccumulate ? _mm512_loadu_ps(oi) : _mm512_setzero_ps();
-      __m512 c1 =
-          kAccumulate ? _mm512_loadu_ps(oi + 16) : _mm512_setzero_ps();
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        const __m512 va = _mm512_set1_ps(ai[p]);
-        c0 = _mm512_add_ps(c0, _mm512_mul_ps(va, _mm512_loadu_ps(bp)));
-        c1 = _mm512_add_ps(c1, _mm512_mul_ps(va, _mm512_loadu_ps(bp + 16)));
-      }
-      _mm512_storeu_ps(oi, c0);
-      _mm512_storeu_ps(oi + 16, c1);
-    }
-  }
-  for (; j + 16 <= n; j += 16) {
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = row_of(a, i, k);
-      const float* a1 = row_of(a, i + 1, k);
-      const float* a2 = row_of(a, i + 2, k);
-      const float* a3 = row_of(a, i + 3, k);
-      float* o0 = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float* o1 = o0 + n;
-      float* o2 = o1 + n;
-      float* o3 = o2 + n;
-      __m512 c0 = kAccumulate ? _mm512_loadu_ps(o0) : _mm512_setzero_ps();
-      __m512 c1 = kAccumulate ? _mm512_loadu_ps(o1) : _mm512_setzero_ps();
-      __m512 c2 = kAccumulate ? _mm512_loadu_ps(o2) : _mm512_setzero_ps();
-      __m512 c3 = kAccumulate ? _mm512_loadu_ps(o3) : _mm512_setzero_ps();
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        const __m512 bv = _mm512_loadu_ps(bp);
-        c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(a0[p]), bv));
-        c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(a1[p]), bv));
-        c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(a2[p]), bv));
-        c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(a3[p]), bv));
-      }
-      _mm512_storeu_ps(o0, c0);
-      _mm512_storeu_ps(o1, c1);
-      _mm512_storeu_ps(o2, c2);
-      _mm512_storeu_ps(o3, c3);
-    }
-    for (; i < m; ++i) {
-      const float* ai = row_of(a, i, k);
-      float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      __m512 c = kAccumulate ? _mm512_loadu_ps(oi) : _mm512_setzero_ps();
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        c = _mm512_add_ps(c, _mm512_mul_ps(_mm512_set1_ps(ai[p]),
-                                           _mm512_loadu_ps(bp)));
-      }
-      _mm512_storeu_ps(oi, c);
-    }
-  }
-  for (; j < n; ++j) {
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = row_of(a, i, k);
-      const float* a1 = row_of(a, i + 1, k);
-      const float* a2 = row_of(a, i + 2, k);
-      const float* a3 = row_of(a, i + 3, k);
-      float* o0 = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float* o1 = o0 + n;
-      float* o2 = o1 + n;
-      float* o3 = o2 + n;
-      float c0 = kAccumulate ? *o0 : 0.0f;
-      float c1 = kAccumulate ? *o1 : 0.0f;
-      float c2 = kAccumulate ? *o2 : 0.0f;
-      float c3 = kAccumulate ? *o3 : 0.0f;
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        const float bj = *bp;
-        c0 += a0[p] * bj;
-        c1 += a1[p] * bj;
-        c2 += a2[p] * bj;
-        c3 += a3[p] * bj;
-      }
-      *o0 = c0;
-      *o1 = c1;
-      *o2 = c2;
-      *o3 = c3;
-    }
-    for (; i < m; ++i) {
-      const float* ai = row_of(a, i, k);
-      float* oi = out + static_cast<size_t>(i) * static_cast<size_t>(n) + j;
-      float c = kAccumulate ? *oi : 0.0f;
-      const float* bp = b + j;
-      for (int p = 0; p < k; ++p, bp += n) {
-        c += ai[p] * *bp;
-      }
-      *oi = c;
-    }
+  for (; j + 64 <= n; j += 64) Strip<4, kAccumulate>(a, b, out, m4, k, n, j);
+  for (; j + 32 <= n; j += 32) Strip<2, kAccumulate>(a, b, out, m4, k, n, j);
+  for (; j + 16 <= n; j += 16) Strip<1, kAccumulate>(a, b, out, m4, k, n, j);
+  for (; j < n; ++j) ColumnStrip<kAccumulate>(a, b, out, m4, k, n, j);
+  switch (m - m4) {
+    case 3: LeftoverRows<3, kAccumulate>(a, b, out, k, n, m4); break;
+    case 2: LeftoverRows<2, kAccumulate>(a, b, out, k, n, m4); break;
+    case 1: LeftoverRows<1, kAccumulate>(a, b, out, k, n, m4); break;
+    default: break;
   }
 }
 

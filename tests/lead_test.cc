@@ -7,6 +7,7 @@
 
 #include "baselines/sp_rnn.h"
 #include "baselines/sp_rule.h"
+#include "common/exec_strategy.h"
 #include "core/lead.h"
 #include "eval/harness.h"
 
@@ -200,6 +201,67 @@ TEST_F(LeadEndToEnd, SpRnnBaselineLearnsSomething) {
   const auto detection =
       sp_lstm.Detect(data_->split.test[0].raw, data_->world->poi_index());
   ASSERT_TRUE(detection.ok()) << detection.status();
+}
+
+// Probabilities are min-max rescaled into [0, 1] and `loaded` is their
+// argmax.
+void ExpectRescaledArgmax(const core::Detection& detection) {
+  ASSERT_EQ(detection.candidates.size(), detection.probabilities.size());
+  ASSERT_FALSE(detection.probabilities.empty());
+  size_t best = 0;
+  for (size_t i = 0; i < detection.probabilities.size(); ++i) {
+    EXPECT_GE(detection.probabilities[i], 0.0f);
+    EXPECT_LE(detection.probabilities[i], 1.0f);
+    if (detection.probabilities[i] > detection.probabilities[best]) best = i;
+  }
+  EXPECT_EQ(detection.probabilities[best], 1.0f);
+  EXPECT_EQ(detection.loaded, detection.candidates[best]);
+}
+
+// A 2-stay trajectory has a single candidate, so both detectors' softmax
+// puts 1 on it and the merged score is 2 for every candidate: min == max.
+// Every candidate then ties at the max and must rescale to 1, not stay 2.
+TEST_F(LeadEndToEnd, SingleCandidateRescalesToOneOnEveryDetectPath) {
+  for (const ExecStrategy strategy :
+       {ExecStrategy::kDeterministic, ExecStrategy::kFast}) {
+    SCOPED_TRACE(ExecStrategyName(strategy));
+    core::LeadOptions options = config_->lead;
+    options.train.autoencoder_epochs = 0;
+    options.train.detector_epochs = 0;
+    options.train.strategy = strategy;
+    options.detect.strategy = strategy;
+    core::LeadModel model(options);
+    ASSERT_TRUE(model.Train(data_->TrainLabeled(), data_->ValLabeled(),
+                            data_->world->poi_index(), nullptr)
+                    .ok());
+    // Cut a test trajectory just before its third stay: the cleaned
+    // prefix keeps exactly the first two stays.
+    const traj::RawTrajectory& full = data_->split.test[0].raw;
+    auto pt = model.Preprocess(full, data_->world->poi_index());
+    ASSERT_TRUE(pt.ok()) << pt.status();
+    ASSERT_GE(pt->num_stays(), 3);
+    traj::RawTrajectory cut = pt->cleaned;
+    cut.points.resize(
+        static_cast<size_t>(pt->segmentation.stays[2].range.begin));
+    auto cut_pt = model.Preprocess(cut, data_->world->poi_index());
+    ASSERT_TRUE(cut_pt.ok()) << cut_pt.status();
+    ASSERT_EQ(cut_pt->num_stays(), 2);
+
+    auto single = model.Detect(cut, data_->world->poi_index());
+    ASSERT_TRUE(single.ok()) << single.status();
+    ASSERT_EQ(single->probabilities.size(), 1u);
+    ExpectRescaledArgmax(*single);
+
+    auto batch = model.DetectBatch({cut, full}, data_->world->poi_index());
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(batch->outcomes.size(), 2u);
+    for (const core::DetectionOutcome& outcome : batch->outcomes) {
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+      ExpectRescaledArgmax(outcome.detection);
+    }
+    EXPECT_EQ(batch->outcomes[0].detection.probabilities,
+              std::vector<float>{1.0f});
+  }
 }
 
 TEST(GreedyDetectTest, EndpointCases) {
