@@ -96,7 +96,7 @@ int main() {
   // Strategy x thread sweep for the batch Detect path: the same trained
   // weights reloaded per cell of {deterministic, fast} x {1, 2, 4, 8}
   // threads, end-to-end DetectBatch wall-clock over the full test split
-  // (fast dispatches to the overlapped fused-stream pipeline). Each cell
+  // (fast scores the whole split as one overlapped window). Each cell
   // reports its best of kPasses passes — on a shared core the minimum is
   // the least-interference estimate — plus per-trajectory latency and
   // GPS-point throughput. Speedups are relative to the deterministic

@@ -22,10 +22,10 @@
 # `lead_cli obs report` with the right cause, the sampling profiler must
 # attribute >=90% of fig8 samples to named span categories, and
 # bench_trend prints its warn-only trend table), an
-# ASan/UBSan-instrumented build of the nn-layer and
-# io/serialize tests
-# (the batched step kernels, autograd, and binary checkpoint parsing are
-# where memory bugs would hide), and a TSan build of the multi-threaded
+# ASan/UBSan-instrumented build of the nn-layer, io/serialize,
+# execution-plan and inference-kernel tests
+# (the batched step kernels, autograd, plan arenas, scratch leases and
+# binary checkpoint parsing are where memory bugs would hide), and a TSan build of the multi-threaded
 # suites (parallel parity, resilience under parallel training, and the
 # end-to-end lead tests).
 #
@@ -46,8 +46,8 @@ cmake --build build -j --target lead_lint >/dev/null
 # --report-allows keeps the suppression inventory honest (a marker whose
 # finding was fixed fails the run); the --json invocation smoke-tests the
 # machine-readable mode CI dashboards consume.
-./build/tools/lead_lint --report-allows src tests bench cli tools
-./build/tools/lead_lint --json src tests bench cli tools >/dev/null
+./build/tools/lead_lint --report-allows src tests bench cli tools perfbench
+./build/tools/lead_lint --json src tests bench cli tools perfbench >/dev/null
 
 echo "=== static analysis: LEAD_WERROR build (-Wshadow/-Wconversion as errors) ==="
 cmake -B build-werror -S . -DLEAD_WERROR=ON >/dev/null
@@ -209,7 +209,7 @@ cmake -B build-asan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
 NN_TESTS=(matrix_test autograd_test layers_test optim_test optim2_test \
           ops_reference_test batch_test io_test gpx_test \
-          serialize_robustness_test)
+          serialize_robustness_test plan_test infer_kernel_test)
 cmake --build build-asan -j --target "${NN_TESTS[@]}"
 for t in "${NN_TESTS[@]}"; do
   echo "--- $t (ASan/UBSan) ---"

@@ -7,6 +7,7 @@
 #include "core/grouping.h"
 #include "nn/infer_kernels.h"
 #include "nn/ops.h"
+#include "obs/trace.h"
 
 namespace lead::core {
 
@@ -103,44 +104,84 @@ nn::Variable StackedBiLstmDetector::InferStacked(
   return nn::Variable::Constant(std::move(out));
 }
 
-nn::Variable StackedBiLstmDetector::ScoreGrouped(
-    const nn::Variable& cvecs, const GroupScoringLayout& layout) const {
-  LEAD_CHECK(!layout.lengths.empty());
-  // Materialize the subgroup members contiguously; spans below view this
-  // one matrix, so a plan recording resolves them all to the gather's
-  // output slot.
-  const nn::Variable grouped = nn::GatherRows(cvecs, layout.member_rows);
+std::vector<nn::Variable> StackedBiLstmDetector::ScoreGrouped(
+    const std::vector<GroupedItem>& items,
+    const BucketSchedule& schedule) const {
+  // Materialize each item's subgroup members contiguously; spans below
+  // view these matrices, so a plan recording resolves them to the
+  // gathers' output slots.
+  std::vector<nn::Variable> grouped;
+  grouped.reserve(items.size());
   std::vector<nn::SeqView> views;
-  views.reserve(layout.lengths.size());
-  int row = 0;
-  for (const int len : layout.lengths) {
-    views.push_back({nn::SeqSpan{&grouped.value(), row, len}});
-    row += len;
+  std::vector<int> lengths;
+  for (const GroupedItem& item : items) {
+    LEAD_CHECK(!item.layout->lengths.empty());
+    std::vector<int> rows = item.layout->member_rows;
+    for (int& r : rows) r += item.first_row;
+    grouped.push_back(nn::GatherRows(item.cvecs, std::move(rows)));
+    int row = 0;
+    for (const int len : item.layout->lengths) {
+      views.push_back({nn::SeqSpan{&grouped.back().value(), row, len}});
+      lengths.push_back(len);
+      row += len;
+    }
   }
-  // Same deterministic bucket split as the parallel eager path; buckets
-  // run serially here so the whole pass is one recordable op sequence.
-  const std::vector<LengthBucket> buckets =
-      BucketByLength(layout.lengths, kSubgroupMaxBatch, kSubgroupMaxPadding);
+  // The bucket split depends only on the subgroup lengths, so it is the
+  // same for every thread count; per-row values are independent of batch
+  // composition, so buckets may run concurrently (and fused across
+  // lengths: padded columns are sliced away like ordinary padding).
+  std::vector<LengthBucket> buckets =
+      BucketByLength(lengths, kSubgroupMaxBatch, kSubgroupMaxPadding);
+  if (schedule.fuse) {
+    buckets = FuseSmallBuckets(std::move(buckets), lengths, kFastFuseMinBatch,
+                               kFastFuseMaxBatch, kFastFuseMaxPadding);
+  }
   std::vector<nn::Variable> scores(buckets.size());
-  std::vector<std::pair<int, int>> where(layout.lengths.size());
+  std::vector<std::pair<int, int>> where(views.size());  // (bucket, row)
   for (size_t kb = 0; kb < buckets.size(); ++kb) {
-    const LengthBucket& bucket = buckets[kb];
+    for (size_t j = 0; j < buckets[kb].items.size(); ++j) {
+      where[static_cast<size_t>(buckets[kb].items[j])] = {
+          static_cast<int>(kb), static_cast<int>(j)};
+    }
+  }
+  const auto score_bucket = [&](int64_t kb) {
+    const LengthBucket& bucket = buckets[static_cast<size_t>(kb)];
+    // Emitted on whichever lane scores the bucket, so the trace shows the
+    // real per-thread schedule of bucket work.
+    obs::ScopedSpan bucket_span(obs::kCatDet, "score_bucket");
+    bucket_span.Arg("subgroups", static_cast<double>(bucket.items.size()));
+    bucket_span.Arg("max_len", static_cast<double>(bucket.max_len));
     std::vector<nn::SeqView> bucket_views;
     bucket_views.reserve(bucket.items.size());
-    for (size_t j = 0; j < bucket.items.size(); ++j) {
-      bucket_views.push_back(views[bucket.items[j]]);
-      where[bucket.items[j]] = {static_cast<int>(kb), static_cast<int>(j)};
+    for (const int pi : bucket.items) {
+      bucket_views.push_back(views[static_cast<size_t>(pi)]);
     }
-    scores[kb] = ScoreSubgroupsBatch(nn::PackViews(bucket_views));
+    scores[static_cast<size_t>(kb)] =
+        ScoreSubgroupsBatch(nn::PackViews(bucket_views));
+  };
+  const int64_t num_buckets = static_cast<int64_t>(buckets.size());
+  if (schedule.for_each) {
+    schedule.for_each(num_buckets, score_bucket);
+  } else {
+    for (int64_t kb = 0; kb < num_buckets; ++kb) score_bucket(kb);
   }
-  std::vector<nn::Variable> parts;
-  parts.reserve(layout.lengths.size());
-  for (size_t gi = 0; gi < layout.lengths.size(); ++gi) {
-    const auto [kb, brow] = where[gi];
-    parts.push_back(nn::SliceCols(nn::SliceRows(scores[kb], brow, 1), 0,
-                                  layout.lengths[gi]));
+  for (const nn::Variable& s : scores) {
+    if (!s.defined()) return {};
   }
-  return nn::SoftmaxRows(nn::ConcatCols(parts));
+  std::vector<nn::Variable> probs;
+  probs.reserve(items.size());
+  size_t view = 0;
+  for (const GroupedItem& item : items) {
+    std::vector<nn::Variable> parts;
+    parts.reserve(item.layout->lengths.size());
+    for (const int len : item.layout->lengths) {
+      const auto [kb, brow] = where[view++];
+      parts.push_back(nn::SliceCols(
+          nn::SliceRows(scores[static_cast<size_t>(kb)], brow, 1), 0, len));
+    }
+    probs.push_back(nn::SoftmaxRows(nn::ConcatCols(parts)));
+  }
+  return probs;
 }
 
 nn::Variable StackedBiLstmDetector::ForwardGroup(

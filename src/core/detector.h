@@ -13,6 +13,8 @@
 // single-member subgroups).
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -63,6 +65,24 @@ struct GroupScoringLayout {
 // points (core/grouping.h order).
 GroupScoringLayout BuildGroupScoringLayout(int num_stays, bool forward);
 
+// One item of a grouped scoring pass: its candidate c-vecs are the rows of
+// `cvecs` from `first_row` on, in forward flatten order.
+struct GroupedItem {
+  nn::Variable cvecs;
+  int first_row = 0;
+  const GroupScoringLayout* layout = nullptr;
+};
+
+// How a grouped scoring pass runs its length buckets. `fuse` merges small
+// buckets across lengths (core/batching.h FuseSmallBuckets). `for_each`
+// calls fn(kb) for every bucket kb in [0, n), for example on a parallel
+// loop whose lanes each install a NoGradGuard; empty runs them serially.
+struct BucketSchedule {
+  bool fuse = false;
+  std::function<void(int64_t n, const std::function<void(int64_t kb)>& fn)>
+      for_each;
+};
+
 class StackedBiLstmDetector : public nn::Module {
  public:
   StackedBiLstmDetector(const DetectorOptions& options, Rng* rng);
@@ -83,14 +103,19 @@ class StackedBiLstmDetector : public nn::Module {
   // slice row b to its first lengths[b] columns before the softmax.
   nn::Variable ScoreSubgroupsBatch(const nn::StepBatch& input) const;
 
-  // Whole-pass scoring used by inference: gathers the subgroup members
-  // out of the [NumCandidates x cvec] matrix, scores every subgroup in
-  // deterministic length buckets, and applies the global softmax. Column
-  // i of the [1 x sum(T_g)] result is the probability of the candidate at
-  // layout.member_rows[i]. The pass is one recordable op graph, so it can
-  // be compiled into an execution plan (nn/plan.h) keyed on the layout.
-  nn::Variable ScoreGrouped(const nn::Variable& cvecs,
-                            const GroupScoringLayout& layout) const;
+  // Whole-pass scoring, shared by detection and detector training: gathers
+  // every item's subgroup members out of its c-vec matrix, scores all
+  // subgroups of all items in length buckets, and applies each item's own
+  // global softmax. Element k of the result is item k's [1 x sum(T_g)]
+  // distribution, whose column i is the probability of the candidate at
+  // layout->member_rows[i]. A parallel schedule whose loop skipped
+  // buckets (cancellation) yields an empty result. Under the default
+  // serial, unfused schedule a one-item pass is one recordable op graph,
+  // so it can be compiled into an execution plan (nn/plan.h) keyed on the
+  // layout.
+  std::vector<nn::Variable> ScoreGrouped(
+      const std::vector<GroupedItem>& items,
+      const BucketSchedule& schedule = {}) const;
 
   const DetectorOptions& options() const { return options_; }
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -21,10 +22,7 @@
 #include "common/retry.h"
 #include "common/stage_queue.h"
 #include "common/thread_pool.h"
-#include "core/batching.h"
 #include "core/grad_parallel.h"
-#include "core/grouping.h"
-#include "nn/batch.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "obs/log.h"
@@ -514,31 +512,11 @@ Status LeadModel::TrainDetectors(
   const TrainOptions& topt = options_.train;
 
   // Freeze the compressor and cache every candidate's c-vec (paper: the
-  // trained compressor produces the detection component's inputs). For
-  // the grouped detectors every subgroup's member c-vecs are materialized
-  // as one contiguous [T x cvec] matrix, so mini-batches can pack them as
-  // SeqSpans without per-step copies.
+  // trained compressor produces the detection component's inputs).
   struct CachedSample {
     int num_stays = 0;
     traj::Candidate loaded;
-    nn::Matrix cvecs;                    // [NumCandidates x cvec], flat order
-    std::vector<nn::Matrix> fwd_groups;  // per forward subgroup [T x cvec]
-    std::vector<nn::Matrix> bwd_groups;  // per backward subgroup
-  };
-  auto subgroup_matrices = [](const nn::Matrix& cvecs, int n,
-                              const std::vector<Subgroup>& groups) {
-    std::vector<nn::Matrix> out;
-    out.reserve(groups.size());
-    for (const Subgroup& g : groups) {
-      nn::Matrix m(static_cast<int>(g.members.size()), cvecs.cols());
-      for (size_t j = 0; j < g.members.size(); ++j) {
-        const float* src =
-            cvecs.row(traj::CandidateFlatIndex(n, g.members[j]));
-        std::copy(src, src + cvecs.cols(), m.row(static_cast<int>(j)));
-      }
-      out.push_back(std::move(m));
-    }
-    return out;
+    nn::Variable cvecs;  // constant [NumCandidates x cvec], flat order
   };
   const int threads = ResolveThreads(topt.threads);
   auto cache = [&](const std::vector<PreparedSample>& samples) {
@@ -550,76 +528,42 @@ Status LeadModel::TrainDetectors(
         topt.strategy, static_cast<int64_t>(samples.size()), threads,
         [&](int64_t i) {
           const PreparedSample& s = samples[i];
-          CachedSample c;
-          c.num_stays = s.pt.num_stays();
-          c.loaded = s.loaded;
-          c.cvecs = EncodeCandidates(s.pt);
-          if (options_.use_grouping) {
-            c.fwd_groups = subgroup_matrices(c.cvecs, c.num_stays,
-                                             ForwardGroups(c.num_stays));
-            c.bwd_groups = subgroup_matrices(c.cvecs, c.num_stays,
-                                             BackwardGroups(c.num_stays));
-          }
-          cached[i] = std::move(c);
+          cached[i] = CachedSample{
+              s.pt.num_stays(), s.loaded,
+              nn::Variable::Constant(EncodeCandidates(s.pt))};
         });
     return cached;
   };
   const std::vector<CachedSample> train_cached = cache(training);
   const std::vector<CachedSample> val_cached = cache(validation);
   // The cache ParallelFors fill indexed slots; skipped (cancelled) lanes
-  // leave empty matrices behind, so poll before training on them.
+  // leave undefined c-vecs behind, so poll before training on them.
   LEAD_RETURN_IF_ERROR(PollCancel("train_detectors"));
 
-  // Sum of the chunk's per-sample KLD losses against one detector. Every
-  // subgroup of the chunk is scored in length-bucketed [B x cvec] batches;
-  // the per-sample distributions are then sliced back out for the global
-  // softmax and the KLD against the smoothed label.
+  // Sum of the chunk's per-sample KLD losses against one detector: the
+  // inference scoring pass (serial, unfused buckets over every subgroup of
+  // the chunk) gives each sample's distribution, scored against its
+  // smoothed label.
   auto group_chunk_loss = [&](const StackedBiLstmDetector& detector,
                               bool forward,
                               const std::vector<const CachedSample*>& chunk) {
-    std::vector<const nn::Matrix*> mats;
-    std::vector<int> lengths;
+    std::vector<GroupScoringLayout> layouts;
+    layouts.reserve(chunk.size());
+    std::vector<GroupedItem> items;
+    items.reserve(chunk.size());
     for (const CachedSample* s : chunk) {
-      const std::vector<nn::Matrix>& groups =
-          forward ? s->fwd_groups : s->bwd_groups;
-      for (const nn::Matrix& g : groups) {
-        mats.push_back(&g);
-        lengths.push_back(g.rows());
-      }
+      layouts.push_back(BuildGroupScoringLayout(s->num_stays, forward));
+      items.push_back({s->cvecs, 0, &layouts.back()});
     }
-    const std::vector<LengthBucket> buckets =
-        BucketByLength(lengths, kSubgroupMaxBatch, kSubgroupMaxPadding);
-    std::vector<nn::Variable> scores(buckets.size());
-    std::vector<std::pair<int, int>> where(mats.size());  // (bucket, row)
-    for (size_t kb = 0; kb < buckets.size(); ++kb) {
-      const LengthBucket& bucket = buckets[kb];
-      std::vector<nn::SeqView> views;
-      views.reserve(bucket.items.size());
-      for (size_t j = 0; j < bucket.items.size(); ++j) {
-        const int pi = bucket.items[j];
-        views.push_back({nn::SeqSpan{mats[pi], 0, lengths[pi]}});
-        where[pi] = {static_cast<int>(kb), static_cast<int>(j)};
-      }
-      scores[kb] = detector.ScoreSubgroupsBatch(nn::PackViews(views));
-    }
+    const std::vector<nn::Variable> probs = detector.ScoreGrouped(items);
     nn::Variable total;
-    int pair_index = 0;
-    for (const CachedSample* s : chunk) {
-      const std::vector<nn::Matrix>& groups =
-          forward ? s->fwd_groups : s->bwd_groups;
-      std::vector<nn::Variable> parts;
-      parts.reserve(groups.size());
-      for (const nn::Matrix& g : groups) {
-        const auto [kb, row] = where[pair_index++];
-        parts.push_back(
-            nn::SliceCols(nn::SliceRows(scores[kb], row, 1), 0, g.rows()));
-      }
+    for (size_t k = 0; k < chunk.size(); ++k) {
+      const CachedSample* s = chunk[k];
       const nn::Variable label = nn::Variable::Constant(nn::Matrix::RowVector(
           forward ? ForwardLabel(s->num_stays, s->loaded, topt.label_epsilon)
                   : BackwardLabel(s->num_stays, s->loaded,
                                   topt.label_epsilon)));
-      const nn::Variable kld =
-          nn::KlDivergence(label, nn::SoftmaxRows(nn::ConcatCols(parts)));
+      const nn::Variable kld = nn::KlDivergence(label, probs[k]);
       total = total.defined() ? nn::Add(total, kld) : kld;
     }
     return total;
@@ -631,9 +575,7 @@ Status LeadModel::TrainDetectors(
                             const std::vector<const CachedSample*>& chunk) {
     std::vector<nn::Variable> rows;
     rows.reserve(chunk.size());
-    for (const CachedSample* s : chunk) {
-      rows.push_back(nn::Variable::Constant(s->cvecs));
-    }
+    for (const CachedSample* s : chunk) rows.push_back(s->cvecs);
     const nn::Variable probs = scorer->Forward(nn::ConcatRows(rows));
     nn::Variable total;
     int row = 0;
@@ -809,234 +751,43 @@ StatusOr<ProcessedTrajectory> LeadModel::Preprocess(
   return ProcessTrajectory(raw, poi_index, popt, &normalizer_);
 }
 
-nn::Matrix LeadModel::EncodeCandidates(const ProcessedTrajectory& pt) const {
-  obs::ScopedSpan span(obs::kCatInfer, "encode_candidates");
-  span.Arg("candidates", static_cast<double>(pt.candidates.size()));
-  nn::NoGradGuard no_grad;
-  if (options_.detect.exec_mode == ExecMode::kPlan && plan_cache_ != nullptr &&
-      !pt.candidates.empty()) {
-    return autoencoder_->EncodeCandidatesPlanned(pt, plan_cache_.get());
-  }
+namespace {
+
+// One encode item per candidate, trajectory by trajectory, each in forward
+// flatten order.
+std::vector<CandidateBatchItem> CandidateItems(
+    const std::vector<const ProcessedTrajectory*>& pts) {
   std::vector<CandidateBatchItem> items;
-  items.reserve(pt.candidates.size());
-  for (const traj::Candidate& c : pt.candidates) {
-    items.push_back({&pt, c});
+  for (const ProcessedTrajectory* pt : pts) {
+    for (const traj::Candidate& c : pt->candidates) items.push_back({pt, c});
   }
-  // The encode-only batch path compresses each shared segment once, the
-  // batched analogue of the retired EncodeSegments sharing.
-  return autoencoder_->EncodeCandidateBatch(items).value();
+  return items;
 }
 
-StatusOr<Detection> LeadModel::DetectProcessed(
-    const ProcessedTrajectory& pt) const {
-  if (!normalizer_.fitted()) {
-    return FailedPreconditionError("model is not trained");
-  }
-  static obs::Histogram& detect_us = obs::GetHistogram("stage.detect.us");
-  // Deadline-margin histogram plus the cancellation counter family,
-  // registered eagerly so every --metrics-out snapshot of a detect run
-  // exports them (as zeros) even when nothing fires.
-  static obs::Histogram& margin_us = obs::GetHistogram(
-      "lead.stage.deadline_margin_us", obs::DefaultLatencyBoundsUs());
-  static const bool cancel_metrics_registered = [] {
-    (void)obs::GetCounter("lead.detect.shed");
-    (void)obs::GetCounter("lead.cancel.deadline");
-    (void)obs::GetCounter("lead.cancel.user");
-    (void)obs::GetCounter("lead.cancel.budget");
-    (void)obs::GetCounter("lead.cancel.fault");
-    return true;
-  }();
-  (void)cancel_metrics_registered;
-  obs::ScopedTimerUs timer(&detect_us);
-  obs::ScopedSpan span(obs::kCatInfer, "detect");
-  span.Arg("candidates", static_cast<double>(pt.candidates.size()));
-  // Tighten the ambient token with this call's own deadline (idempotent
-  // when Detect/DetectStream already installed the same one upstream).
-  ScopedCancel scoped_cancel(
-      TightenDeadline(CurrentCancel(), options_.detect.deadline_ms));
-  WatchdogScope watchdog("detect");
-  LEAD_RETURN_IF_ERROR(PollCancel("detect"));
+// Admission control. Degenerate input (e.g. a hand-built
+// ProcessedTrajectory) has no loading/unloading pair to rank. Otherwise
+// the dominant transient allocations of scoring are reserved: the c-vec
+// matrix plus (per direction) the grouped member-row matrix, each
+// [NumCandidates x cvec_dims]. Admitting before any scoring means
+// in-flight trajectories are never revoked mid-way; the caller holds the
+// reservation until the item's scores are final.
+Status Admit(const ProcessedTrajectory& pt, int cvec_dims,
+             MemoryBudget::Reservation* reservation) {
   const int n = pt.num_stays();
   if (n < 2 || pt.candidates.empty()) {
-    // Degenerate input (e.g. a hand-built ProcessedTrajectory): no
-    // loading/unloading pair exists, so there is nothing to rank.
     return InvalidArgumentError(
         "trajectory has fewer than 2 stay points; no candidates to score");
   }
-  // Admission control: the dominant transient allocations are the c-vec
-  // matrix plus (per direction) the grouped member-row matrix, each
-  // [NumCandidates x cvec_dims]. Rejecting here — before any scoring —
-  // means in-flight trajectories are never revoked mid-way.
-  const int64_t score_bytes = 3ll * traj::NumCandidates(n) *
-                              options_.autoencoder.cvec_dims() *
-                              static_cast<int64_t>(sizeof(float));
-  const MemoryBudget::Reservation reservation =
-      MemoryBudget::Global().Reserve(score_bytes, "detect");
-  if (!reservation.ok()) return reservation.status();
-  nn::NoGradGuard no_grad;
-  const nn::Matrix cvecs = EncodeCandidates(pt);
-  LEAD_RETURN_IF_ERROR(PollCancel("detect.encode"));
-  const int num_candidates = cvecs.rows();
-  LEAD_CHECK_EQ(num_candidates, traj::NumCandidates(n));
+  *reservation = MemoryBudget::Global().Reserve(
+      3ll * traj::NumCandidates(n) * cvec_dims *
+          static_cast<int64_t>(sizeof(float)),
+      "detect");
+  return reservation->status();
+}
 
-  const int threads = ResolveThreads(options_.detect.threads);
-  std::vector<float> merged(num_candidates, 0.0f);
-  if (options_.use_grouping) {
-    // Plan-mode detector pass: look up (or record) the compiled grouped
-    // scoring plan for this (detector, direction, shape) and replay it
-    // against the c-vec matrix. Returns false when no plan is available
-    // for the signature, in which case the eager path below runs.
-    auto accumulate_planned = [&](const StackedBiLstmDetector& detector,
-                                  bool forward) -> bool {
-      if (options_.detect.exec_mode != ExecMode::kPlan ||
-          plan_cache_ == nullptr) {
-        return false;
-      }
-      // The outer guard belongs to this scope either way; recording
-      // additionally requires it on the recorder's thread.
-      nn::NoGradGuard plan_no_grad;
-      std::string key = nn::PlanKeyRoot("det_groups", &detector);
-      nn::AppendKeyInt(&key, forward ? 1 : 0);
-      nn::AppendKeyInt(&key, n);
-      nn::AppendKeyInt(&key, cvecs.rows());
-      nn::AppendKeyInt(&key, cvecs.cols());
-      bool was_hit = false;
-      nn::Matrix probs;
-      const std::shared_ptr<const nn::PlanCache::Entry> entry =
-          plan_cache_->GetOrRecord(
-              key,
-              [&](std::vector<int>* meta) -> nn::Variable {
-                const GroupScoringLayout layout =
-                    BuildGroupScoringLayout(n, forward);
-                *meta = layout.member_rows;
-                const nn::Variable cv =
-                    nn::PlanRecorder::Active()->MakeInput(cvecs);
-                return detector.ScoreGrouped(cv, layout);
-              },
-              &probs, &was_hit);
-      if (entry == nullptr) return false;
-      if (was_hit) entry->plan->Execute({&cvecs}, &probs);
-      // The cached layout doubles as the merge map, so a hit also skips
-      // re-deriving the subgroup packing.
-      const std::vector<int>& member_rows = entry->meta;
-      LEAD_CHECK_EQ(probs.cols(), static_cast<int>(member_rows.size()));
-      for (size_t i = 0; i < member_rows.size(); ++i) {
-        merged[member_rows[i]] += probs.at(0, static_cast<int>(i));
-      }
-      return true;
-    };
-    auto accumulate = [&](const StackedBiLstmDetector& detector,
-                          bool forward) -> Status {
-      const std::vector<Subgroup> groups =
-          forward ? ForwardGroups(n) : BackwardGroups(n);
-      // Materialize every subgroup's member c-vecs contiguously.
-      int total_rows = 0;
-      for (const Subgroup& g : groups) {
-        total_rows += static_cast<int>(g.members.size());
-      }
-      nn::Matrix grouped(total_rows, cvecs.cols());
-      std::vector<nn::SeqView> views;
-      std::vector<const traj::Candidate*> order;
-      std::vector<int> lengths;
-      views.reserve(groups.size());
-      lengths.reserve(groups.size());
-      order.reserve(total_rows);
-      int row = 0;
-      for (const Subgroup& g : groups) {
-        views.push_back({nn::SeqSpan{&grouped, row,
-                                     static_cast<int>(g.members.size())}});
-        lengths.push_back(static_cast<int>(g.members.size()));
-        for (const traj::Candidate& c : g.members) {
-          const float* src = cvecs.row(traj::CandidateFlatIndex(n, c));
-          std::copy(src, src + cvecs.cols(), grouped.row(row++));
-          order.push_back(&c);
-        }
-      }
-      // Score the n-1 subgroups in length buckets. The split depends only
-      // on the subgroup lengths, so it is identical for every thread
-      // count; buckets run concurrently against the read-only detector
-      // (per-row values are independent of batch composition, so the
-      // bucketed scores match the retired single-ragged-batch path), and
-      // the softmax/merge below reassembles them in subgroup order.
-      std::vector<LengthBucket> buckets =
-          BucketByLength(lengths, kSubgroupMaxBatch, kSubgroupMaxPadding);
-      if (options_.detect.strategy == ExecStrategy::kFast) {
-        // Fast mode fuses the tail of tiny buckets into cross-length
-        // mega-batches: fewer, larger kernel launches at the price of a
-        // bounded amount of masked padding compute. Padded columns are
-        // sliced away below exactly like ordinary bucket padding.
-        buckets = FuseSmallBuckets(std::move(buckets), lengths,
-                                   kFastFuseMinBatch, kFastFuseMaxBatch,
-                                   kFastFuseMaxPadding);
-      }
-      std::vector<nn::Variable> scores(buckets.size());
-      std::vector<std::pair<int, int>> where(groups.size());  // (bucket,row)
-      for (size_t kb = 0; kb < buckets.size(); ++kb) {
-        for (size_t j = 0; j < buckets[kb].items.size(); ++j) {
-          where[buckets[kb].items[j]] = {static_cast<int>(kb),
-                                         static_cast<int>(j)};
-        }
-      }
-      StrategyParallelFor(
-          options_.detect.strategy, static_cast<int64_t>(buckets.size()),
-          threads, [&](int64_t kb) {
-            nn::NoGradGuard lane_no_grad;  // thread-local: lanes need their own
-            const LengthBucket& bucket = buckets[kb];
-            // Emitted on whichever lane scores the bucket, so the trace
-            // shows the real per-thread schedule of bucket work.
-            obs::ScopedSpan bucket_span(obs::kCatDet, "score_bucket");
-            bucket_span.Arg("subgroups",
-                            static_cast<double>(bucket.items.size()));
-            bucket_span.Arg("max_len", static_cast<double>(bucket.max_len));
-            std::vector<nn::SeqView> bucket_views;
-            bucket_views.reserve(bucket.items.size());
-            for (const int pi : bucket.items) {
-              bucket_views.push_back(views[pi]);
-            }
-            scores[kb] =
-                detector.ScoreSubgroupsBatch(nn::PackViews(bucket_views));
-          });
-      // Cancelled lanes skip buckets, leaving undefined score slots; the
-      // softmax below couples every subgroup, so there is no partial
-      // answer inside one trajectory — unwind before touching scores.
-      LEAD_RETURN_IF_ERROR(PollCancel("detect.score"));
-      std::vector<nn::Variable> parts;
-      parts.reserve(groups.size());
-      for (size_t gi = 0; gi < groups.size(); ++gi) {
-        const auto [kb, brow] = where[gi];
-        parts.push_back(nn::SliceCols(
-            nn::SliceRows(scores[kb], brow, 1), 0,
-            static_cast<int>(groups[gi].members.size())));
-      }
-      const nn::Variable probs = nn::SoftmaxRows(nn::ConcatCols(parts));
-      for (size_t i = 0; i < order.size(); ++i) {
-        merged[traj::CandidateFlatIndex(n, *order[i])] +=
-            probs.value().at(0, static_cast<int>(i));
-      }
-      return Status::Ok();
-    };
-    if (options_.use_forward && forward_detector_ != nullptr) {
-      LEAD_RETURN_IF_ERROR(PollCancel("detect.forward"));
-      if (!accumulate_planned(*forward_detector_, /*forward=*/true)) {
-        LEAD_RETURN_IF_ERROR(accumulate(*forward_detector_, /*forward=*/true));
-      }
-    }
-    if (options_.use_backward && backward_detector_ != nullptr) {
-      LEAD_RETURN_IF_ERROR(PollCancel("detect.backward"));
-      if (!accumulate_planned(*backward_detector_, /*forward=*/false)) {
-        LEAD_RETURN_IF_ERROR(
-            accumulate(*backward_detector_, /*forward=*/false));
-      }
-    }
-  } else {
-    const nn::Variable probs =
-        mlp_scorer_->Forward(nn::Variable::Constant(cvecs));
-    for (int i = 0; i < num_candidates; ++i) {
-      merged[i] = probs.value().at(i, 0);
-    }
-  }
-
-  // Min-max rescale to [0, 1] (Eq. 13's normalization step).
+// Min-max rescale to [0, 1] (Eq. 13's normalization step) and argmax.
+StatusOr<Detection> RescaleAndPick(const ProcessedTrajectory& pt,
+                                   std::vector<float> merged) {
   const auto [min_it, max_it] =
       std::minmax_element(merged.begin(), merged.end());
   const float lo = *min_it;
@@ -1053,19 +804,220 @@ StatusOr<Detection> LeadModel::DetectProcessed(
     // candidate ties at the max, which the rescale maps to 1.
     std::fill(merged.begin(), merged.end(), 1.0f);
   }
-
   Detection detection;
-  detection.num_stays = n;
+  detection.num_stays = pt.num_stays();
   detection.candidates = pt.candidates;
   const int best = static_cast<int>(
       std::max_element(merged.begin(), merged.end()) - merged.begin());
-  detection.loaded = pt.candidates[best];
+  detection.loaded = pt.candidates[static_cast<size_t>(best)];
   detection.probabilities = std::move(merged);
+  return detection;
+}
+
+}  // namespace
+
+nn::Matrix LeadModel::EncodeCandidates(const ProcessedTrajectory& pt) const {
+  obs::ScopedSpan span(obs::kCatInfer, "encode_candidates");
+  span.Arg("candidates", static_cast<double>(pt.candidates.size()));
+  nn::NoGradGuard no_grad;
+  if (options_.detect.exec_mode == ExecMode::kPlan && plan_cache_ != nullptr &&
+      !pt.candidates.empty()) {
+    return autoencoder_->EncodeCandidatesPlanned(pt, plan_cache_.get());
+  }
+  // The encode-only batch path compresses each shared segment once, the
+  // batched analogue of the retired EncodeSegments sharing.
+  return autoencoder_->EncodeCandidateBatch(CandidateItems({&pt})).value();
+}
+
+Status LeadModel::ScoreBatch(
+    const std::vector<const ProcessedTrajectory*>& items,
+    std::vector<StatusOr<Detection>>* results) const {
+  static obs::Histogram& detect_us = obs::GetHistogram("stage.detect.us");
+  // Deadline-margin histogram plus the cancellation counter family,
+  // registered eagerly so every --metrics-out snapshot of a detect run
+  // exports them (as zeros) even when nothing fires.
+  static obs::Histogram& margin_us = obs::GetHistogram(
+      "lead.stage.deadline_margin_us", obs::DefaultLatencyBoundsUs());
+  static const bool cancel_metrics_registered = [] {
+    (void)obs::GetCounter("lead.detect.shed");
+    (void)obs::GetCounter("lead.cancel.deadline");
+    (void)obs::GetCounter("lead.cancel.user");
+    (void)obs::GetCounter("lead.cancel.budget");
+    (void)obs::GetCounter("lead.cancel.fault");
+    return true;
+  }();
+  (void)cancel_metrics_registered;
+  obs::ScopedTimerUs timer(&detect_us);
+  const size_t num_items = items.size();
+  int total_candidates = 0;
+  for (const ProcessedTrajectory* pt : items) {
+    total_candidates += static_cast<int>(pt->candidates.size());
+  }
+  obs::ScopedSpan span(obs::kCatInfer, "detect");
+  span.Arg("items", static_cast<double>(num_items));
+  span.Arg("candidates", static_cast<double>(total_candidates));
+  WatchdogScope watchdog("detect");
+  nn::NoGradGuard no_grad;
+  const ExecStrategy strategy = options_.detect.strategy;
+  const int threads = ResolveThreads(options_.detect.threads);
+  const bool planned =
+      options_.detect.exec_mode == ExecMode::kPlan && plan_cache_ != nullptr;
+
+  // Encode. Plan mode replays each item's cached encode plan, one matrix
+  // per item. Eager mode encodes every candidate of the window in one
+  // cross-trajectory batch, item r from row first_row[r] on.
+  std::vector<nn::Variable> encoded;
+  std::vector<int> first_row(num_items, 0);
+  if (planned) {
+    for (const ProcessedTrajectory* pt : items) {
+      encoded.push_back(nn::Variable::Constant(EncodeCandidates(*pt)));
+    }
+  } else {
+    obs::ScopedSpan encode_span(obs::kCatInfer, "encode_candidates");
+    encode_span.Arg("candidates", static_cast<double>(total_candidates));
+    encoded.push_back(
+        autoencoder_->EncodeCandidateBatch(CandidateItems(items)));
+    for (size_t r = 1; r < num_items; ++r) {
+      first_row[r] =
+          first_row[r - 1] + static_cast<int>(items[r - 1]->candidates.size());
+    }
+  }
+  const auto source = [&](size_t r) {
+    return encoded.size() == 1 ? size_t{0} : r;
+  };
+  LEAD_RETURN_IF_ERROR(PollCancel("detect.encode"));
+
+  std::vector<std::vector<float>> merged(num_items);
+  for (size_t r = 0; r < num_items; ++r) {
+    merged[r].assign(items[r]->candidates.size(), 0.0f);
+  }
+  // Adds one direction's distribution to item r: column i belongs to the
+  // candidate at flat index rows[i].
+  const auto merge = [&](size_t r, const std::vector<int>& rows,
+                         const nn::Matrix& probs) {
+    LEAD_CHECK_EQ(probs.cols(), static_cast<int>(rows.size()));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      merged[r][static_cast<size_t>(rows[i])] +=
+          probs.at(0, static_cast<int>(i));
+    }
+  };
+  // Plan mode: replays (or records) item r's compiled scoring pass for
+  // one detector direction. The cached layout doubles as the merge map,
+  // so a hit also skips re-deriving the subgroup packing. Returns false
+  // when no plan exists for the signature; the item is then scored by
+  // the shared pass below.
+  const auto score_planned = [&](const StackedBiLstmDetector& detector,
+                                 bool forward, size_t r) -> bool {
+    const nn::Matrix& cvecs = encoded[r].value();
+    const int n = items[r]->num_stays();
+    std::string key = nn::PlanKeyRoot("det_groups", &detector);
+    nn::AppendKeyInt(&key, forward ? 1 : 0);
+    nn::AppendKeyInt(&key, n);
+    nn::AppendKeyInt(&key, cvecs.rows());
+    nn::AppendKeyInt(&key, cvecs.cols());
+    bool was_hit = false;
+    nn::Matrix probs;
+    const std::shared_ptr<const nn::PlanCache::Entry> entry =
+        plan_cache_->GetOrRecord(
+            key,
+            [&](std::vector<int>* meta) -> nn::Variable {
+              const GroupScoringLayout layout =
+                  BuildGroupScoringLayout(n, forward);
+              *meta = layout.member_rows;
+              const nn::Variable cv =
+                  nn::PlanRecorder::Active()->MakeInput(cvecs);
+              return detector.ScoreGrouped({{cv, 0, &layout}})[0];
+            },
+            &probs, &was_hit);
+    if (entry == nullptr) return false;
+    if (was_hit) entry->plan->Execute({&cvecs}, &probs);
+    merge(r, entry->meta, probs);
+    return true;
+  };
+  // The shared pass runs its buckets on the strategy's parallel loop;
+  // fast mode also fuses small buckets across lengths.
+  BucketSchedule schedule;
+  schedule.fuse = strategy == ExecStrategy::kFast;
+  schedule.for_each = [&](int64_t n, const std::function<void(int64_t)>& fn) {
+    StrategyParallelFor(strategy, n, threads, [&fn](int64_t kb) {
+      nn::NoGradGuard lane_no_grad;  // thread-local: lanes need their own
+      fn(kb);
+    });
+  };
+
+  if (options_.use_grouping) {
+    for (const bool forward : {true, false}) {
+      const StackedBiLstmDetector* detector =
+          forward ? forward_detector_.get() : backward_detector_.get();
+      if (detector == nullptr) continue;
+      LEAD_RETURN_IF_ERROR(
+          PollCancel(forward ? "detect.forward" : "detect.backward"));
+      // Every item without a plan joins one bucketed pass.
+      std::vector<GroupScoringLayout> layouts(num_items);
+      std::vector<GroupedItem> pass;
+      std::vector<size_t> pass_item;
+      for (size_t r = 0; r < num_items; ++r) {
+        if (planned && score_planned(*detector, forward, r)) continue;
+        layouts[r] = BuildGroupScoringLayout(items[r]->num_stays(), forward);
+        pass.push_back({encoded[source(r)], first_row[r], &layouts[r]});
+        pass_item.push_back(r);
+      }
+      if (pass.empty()) continue;
+      const std::vector<nn::Variable> probs =
+          detector->ScoreGrouped(pass, schedule);
+      // Cancelled lanes skip buckets; each item's softmax couples all its
+      // subgroups, so there is no partial answer — unwind.
+      LEAD_RETURN_IF_ERROR(PollCancel("detect.score"));
+      LEAD_CHECK_EQ(probs.size(), pass.size());
+      for (size_t k = 0; k < pass.size(); ++k) {
+        merge(pass_item[k], layouts[pass_item[k]].member_rows,
+              probs[k].value());
+      }
+    }
+  } else {
+    // LEAD-NoGro: independent per-candidate probabilities, one MLP pass
+    // per encoded matrix.
+    std::vector<nn::Variable> probs;
+    probs.reserve(encoded.size());
+    for (const nn::Variable& cvecs : encoded) {
+      probs.push_back(mlp_scorer_->Forward(cvecs));
+    }
+    for (size_t r = 0; r < num_items; ++r) {
+      const nn::Matrix& p = probs[source(r)].value();
+      for (size_t i = 0; i < merged[r].size(); ++i) {
+        merged[r][i] = p.at(first_row[r] + static_cast<int>(i), 0);
+      }
+    }
+  }
+
+  results->clear();
+  results->reserve(num_items);
+  for (size_t r = 0; r < num_items; ++r) {
+    results->push_back(RescaleAndPick(*items[r], std::move(merged[r])));
+  }
   // How much headroom the stage finished with (deadline runs only).
   if (CurrentCancel().has_deadline()) {
     margin_us.Observe(static_cast<double>(CurrentCancel().RemainingMicros()));
   }
-  return detection;
+  return Status::Ok();
+}
+
+StatusOr<Detection> LeadModel::DetectProcessed(
+    const ProcessedTrajectory& pt) const {
+  if (!normalizer_.fitted()) {
+    return FailedPreconditionError("model is not trained");
+  }
+  // Tighten the ambient token with this call's own deadline (idempotent
+  // when Detect already installed the same one upstream).
+  ScopedCancel scoped_cancel(
+      TightenDeadline(CurrentCancel(), options_.detect.deadline_ms));
+  LEAD_RETURN_IF_ERROR(PollCancel("detect"));
+  MemoryBudget::Reservation reservation;
+  LEAD_RETURN_IF_ERROR(
+      Admit(pt, options_.autoencoder.cvec_dims(), &reservation));
+  std::vector<StatusOr<Detection>> results;
+  LEAD_RETURN_IF_ERROR(ScoreBatch({&pt}, &results));
+  return std::move(results[0]);
 }
 
 StatusOr<Detection> LeadModel::Detect(const traj::RawTrajectory& raw,
@@ -1086,14 +1038,8 @@ StatusOr<BatchDetection> LeadModel::DetectStream(
   if (provider == nullptr) {
     return InvalidArgumentError("null trajectory provider");
   }
-  // The fast strategy runs the whole batch through the overlapped,
-  // cross-trajectory fused pipeline (grouping variants; the MLP scorer
-  // has no subgroup batches to fuse and keeps the sequential loop).
-  if (options_.detect.strategy == ExecStrategy::kFast &&
-      options_.use_grouping) {
-    return DetectStreamFused(count, provider, poi_index);
-  }
   static obs::Counter& shed_counter = obs::GetCounter("lead.detect.shed");
+  const bool fast = options_.detect.strategy == ExecStrategy::kFast;
   obs::ScopedSpan span(obs::kCatInfer, "detect_stream");
   span.Arg("count", static_cast<double>(count));
   ScopedCancel scoped_cancel(
@@ -1103,108 +1049,23 @@ StatusOr<BatchDetection> LeadModel::DetectStream(
 
   BatchDetection batch;
   batch.outcomes.resize(static_cast<size_t>(count));
-  auto shed_item = [&](int index, const Status& status,
-                       CancelCause cause) {
-    DetectionOutcome& outcome = batch.outcomes[static_cast<size_t>(index)];
-    outcome.status = status;
-    outcome.degraded = true;
-    shed_counter.Increment();
-    ++batch.shed;
-    if (batch.cause == CancelCause::kNone) batch.cause = cause;
-  };
-
-  int next = 0;
-  Status cancel_status = Status::Ok();
-  for (; next < count; ++next) {
-    // Per-trajectory poll point: the only place the batch gives up work.
-    cancel_status = token.Check("detect_stream");
-    if (!cancel_status.ok()) break;
-    DetectionOutcome& outcome = batch.outcomes[static_cast<size_t>(next)];
-    auto raw = provider(next);
-    if (!raw.ok()) {
-      if (IsCancellation(raw.status()) && token.Cancelled()) {
-        cancel_status = raw.status();
-        break;
-      }
-      if (raw.status().code() == StatusCode::kResourceExhausted) {
-        // Budget rejection is per-item: admission may succeed again once
-        // in-flight work releases its reservation. Shed and move on.
-        shed_item(next, raw.status(), CancelCause::kBudget);
-        continue;
-      }
-      outcome.status = raw.status();
-      continue;
-    }
-    auto detection = Detect(*raw, poi_index);
-    if (!detection.ok()) {
-      if (IsCancellation(detection.status()) && token.Cancelled()) {
-        cancel_status = detection.status();
-        break;
-      }
-      if (detection.status().code() == StatusCode::kResourceExhausted) {
-        shed_item(next, detection.status(), CancelCause::kBudget);
-        continue;
-      }
-      outcome.status = detection.status();
-      continue;
-    }
-    outcome.detection = *std::move(detection);
-    ++batch.completed;
-  }
-  if (!cancel_status.ok()) {
-    // Batch-level cancellation: deadline/user/fault. Either fail the call
-    // or return what completed, marking the remainder shed.
-    if (!options_.detect.partial_results) return cancel_status;
-    const CancelCause cause = token.cause();
-    for (int i = next; i < count; ++i) {
-      shed_item(i, cancel_status,
-                cause != CancelCause::kNone ? cause : CancelCause::kUser);
-    }
-  }
-  return batch;
-}
-
-StatusOr<BatchDetection> LeadModel::DetectStreamFused(
-    int count, const TrajectoryProvider& provider,
-    const poi::PoiIndex& poi_index) const {
-  if (!normalizer_.fitted()) {
-    return FailedPreconditionError("model is not trained");
-  }
-  static obs::Counter& shed_counter = obs::GetCounter("lead.detect.shed");
-  obs::ScopedSpan span(obs::kCatInfer, "detect_stream_fused");
-  span.Arg("count", static_cast<double>(count));
-  ScopedCancel scoped_cancel(
-      TightenDeadline(CurrentCancel(), options_.detect.deadline_ms));
-  WatchdogScope watchdog("detect_stream");
-  const CancelToken token = CurrentCancel();
-  const int threads = ResolveThreads(options_.detect.threads);
-
-  BatchDetection batch;
-  batch.outcomes.resize(static_cast<size_t>(count));
-  // resolved[i]: outcome i is final (completed, failed, or shed); only
-  // unresolved items are swept into the shed set on cancellation.
-  std::vector<char> resolved(static_cast<size_t>(count), 0);
   auto shed_item = [&](int index, const Status& status, CancelCause cause) {
     DetectionOutcome& outcome = batch.outcomes[static_cast<size_t>(index)];
     outcome.status = status;
     outcome.degraded = true;
-    resolved[static_cast<size_t>(index)] = 1;
     shed_counter.Increment();
     ++batch.shed;
     if (batch.cause == CancelCause::kNone) batch.cause = cause;
   };
-  auto fail_item = [&](int index, const Status& status) {
-    batch.outcomes[static_cast<size_t>(index)].status = status;
-    resolved[static_cast<size_t>(index)] = 1;
-  };
-  // Cancellation epilogue shared by every stage: either fail the whole
-  // call or return what resolved so far, shedding the remainder
-  // (DetectStream's exact partial_results contract).
+  // Batch-level cancellation (deadline/user/fault): either fail the whole
+  // call or return what resolved so far, shedding the remainder — every
+  // outcome that neither failed nor holds a detection.
   auto degrade = [&](const Status& status) -> StatusOr<BatchDetection> {
     if (!options_.detect.partial_results) return status;
     const CancelCause cause = token.cause();
     for (int i = 0; i < count; ++i) {
-      if (!resolved[static_cast<size_t>(i)]) {
+      const DetectionOutcome& outcome = batch.outcomes[static_cast<size_t>(i)];
+      if (outcome.status.ok() && outcome.detection.candidates.empty()) {
         shed_item(i, status,
                   cause != CancelCause::kNone ? cause : CancelCause::kUser);
       }
@@ -1212,254 +1073,121 @@ StatusOr<BatchDetection> LeadModel::DetectStreamFused(
     return batch;
   };
 
-  // Stage 1 — overlapped read + preprocess: a dedicated producer thread
-  // pulls raw trajectories (sequentially, so the provider is never called
-  // concurrently) through a bounded queue while this thread preprocesses
-  // and admits them. The producer inherits the caller's token, so a
-  // deadline cancels a stalled read exactly like the sequential loop.
-  struct StageItem {
-    int index;
-    StatusOr<traj::RawTrajectory> raw;
-  };
+  // Admitted items awaiting ScoreBatch; each holds its budget reservation
+  // until its outcome is final.
   struct PendingItem {
     int index;
     ProcessedTrajectory pt;
     MemoryBudget::Reservation reservation;
   };
-  BoundedQueue<StageItem> queue(
-      static_cast<size_t>(std::max(2, 2 * threads)));
-  std::thread producer([&] {
-    ScopedCancel producer_cancel(token);
-    for (int i = 0; i < count; ++i) {
-      if (token.Cancelled()) break;
-      if (!queue.Push(StageItem{i, provider(i)})) break;
+  std::vector<PendingItem> window;
+  auto score_window = [&]() -> Status {
+    if (window.empty()) return Status::Ok();
+    std::vector<const ProcessedTrajectory*> pts;
+    pts.reserve(window.size());
+    for (const PendingItem& p : window) pts.push_back(&p.pt);
+    std::vector<StatusOr<Detection>> results;
+    LEAD_RETURN_IF_ERROR(ScoreBatch(pts, &results));
+    for (size_t r = 0; r < window.size(); ++r) {
+      DetectionOutcome& outcome =
+          batch.outcomes[static_cast<size_t>(window[r].index)];
+      if (!results[r].ok()) {
+        outcome.status = results[r].status();
+        continue;
+      }
+      outcome.detection = *std::move(results[r]);
+      ++batch.completed;
     }
-    queue.Close();
-  });
+    window.clear();
+    return Status::Ok();
+  };
 
-  std::vector<PendingItem> ready;
+  // Read stage. Fast mode overlaps reads with preprocessing: a producer
+  // thread pulls raw trajectories (sequentially, so the provider is never
+  // called concurrently) through a bounded queue. It inherits the caller's
+  // token, so a deadline cancels a stalled read exactly like an inline
+  // one. Deterministic mode reads inline, so a one-lane batch stays on the
+  // calling thread.
+  struct StageItem {
+    int index;
+    StatusOr<traj::RawTrajectory> raw;
+  };
+  std::optional<BoundedQueue<StageItem>> queue;
+  std::thread producer;
+  if (fast) {
+    queue.emplace(static_cast<size_t>(
+        std::max(2, 2 * ResolveThreads(options_.detect.threads))));
+    producer = std::thread([&] {
+      ScopedCancel producer_cancel(token);
+      for (int i = 0; i < count; ++i) {
+        if (token.Cancelled()) break;
+        if (!queue->Push(StageItem{i, provider(i)})) break;
+      }
+      queue->Close();
+    });
+  }
+  auto read = [&](int next, StageItem* item) -> bool {
+    if (queue.has_value()) return queue->Pop(item);
+    *item = StageItem{next, provider(next)};
+    return true;
+  };
+
   Status cancel_status = Status::Ok();
   StageItem item{0, StatusOr<traj::RawTrajectory>(traj::RawTrajectory{})};
-  while (queue.Pop(&item)) {
+  int read_count = 0;
+  for (; read_count < count; ++read_count) {
+    // Per-trajectory poll point: the only place the batch gives up work.
     cancel_status = token.Check("detect_stream");
-    if (!cancel_status.ok()) break;
-    const int i = item.index;
-    if (!item.raw.ok()) {
-      if (IsCancellation(item.raw.status()) && token.Cancelled()) {
-        cancel_status = item.raw.status();
+    if (!cancel_status.ok() || !read(read_count, &item)) break;
+    const Status admitted = [&]() -> Status {
+      if (!item.raw.ok()) return item.raw.status();
+      auto processed = Preprocess(*item.raw, poi_index);
+      if (!processed.ok()) return processed.status();
+      MemoryBudget::Reservation reservation;
+      LEAD_RETURN_IF_ERROR(Admit(*processed,
+                                 options_.autoencoder.cvec_dims(),
+                                 &reservation));
+      window.push_back(PendingItem{item.index, *std::move(processed),
+                                   std::move(reservation)});
+      return Status::Ok();
+    }();
+    if (!admitted.ok()) {
+      // The batch's own cancellation stops the loop. A budget rejection
+      // sheds only this item: admission may succeed again once in-flight
+      // work releases its reservation. Anything else fails only this item.
+      if (IsCancellation(admitted) && token.Cancelled()) {
+        cancel_status = admitted;
         break;
       }
-      if (item.raw.status().code() == StatusCode::kResourceExhausted) {
-        shed_item(i, item.raw.status(), CancelCause::kBudget);
-        continue;
+      if (admitted.code() == StatusCode::kResourceExhausted) {
+        shed_item(item.index, admitted, CancelCause::kBudget);
+      } else {
+        batch.outcomes[static_cast<size_t>(item.index)].status = admitted;
       }
-      fail_item(i, item.raw.status());
       continue;
     }
-    auto processed = Preprocess(*item.raw, poi_index);
-    if (!processed.ok()) {
-      if (IsCancellation(processed.status()) && token.Cancelled()) {
-        cancel_status = processed.status();
-        break;
-      }
-      if (processed.status().code() == StatusCode::kResourceExhausted) {
-        shed_item(i, processed.status(), CancelCause::kBudget);
-        continue;
-      }
-      fail_item(i, processed.status());
-      continue;
+    // Deterministic mode scores each item as soon as it is admitted: a
+    // window of one keeps every item bit-identical to Detect, and a later
+    // cancellation still returns the items completed before it.
+    if (!fast) {
+      cancel_status = score_window();
+      if (!cancel_status.ok()) break;
     }
-    const int n = processed->num_stays();
-    if (n < 2 || processed->candidates.empty()) {
-      fail_item(i, InvalidArgumentError(
-                       "trajectory has fewer than 2 stay points; no "
-                       "candidates to score"));
-      continue;
-    }
-    // Same admission formula as DetectProcessed; each item's reservation
-    // is held until its scores are finalized (or the item is shed).
-    const int64_t score_bytes = 3ll * traj::NumCandidates(n) *
-                                options_.autoencoder.cvec_dims() *
-                                static_cast<int64_t>(sizeof(float));
-    MemoryBudget::Reservation reservation =
-        MemoryBudget::Global().Reserve(score_bytes, "detect");
-    if (!reservation.ok()) {
-      shed_item(i, reservation.status(), CancelCause::kBudget);
-      continue;
-    }
-    ready.push_back(
-        PendingItem{i, *std::move(processed), std::move(reservation)});
   }
   // Unblock a producer stuck on a full queue, then ALWAYS join before any
   // return below — the producer captures this frame's locals.
-  queue.Close();
-  producer.join();
-  // A cancellation that drained the queue before the consumer saw any
-  // item (e.g. a pre-cancelled token) leaves cancel_status untouched;
-  // the final poll catches it so all-or-nothing mode still fails typed.
-  if (cancel_status.ok()) cancel_status = token.Check("detect_stream");
+  if (queue.has_value()) {
+    queue->Close();
+    producer.join();
+  }
+  // A producer stopped by cancellation closes the queue early, which ends
+  // the loop without a failed poll; poll again so the unread rest sheds
+  // (and all-or-nothing mode still fails typed).
+  if (cancel_status.ok() && read_count < count) {
+    cancel_status = token.Check("detect_stream");
+  }
+  if (cancel_status.ok()) cancel_status = score_window();
   if (!cancel_status.ok()) return degrade(cancel_status);
-  if (ready.empty()) return batch;
-
-  // Stage 2 — fused encode: every admitted trajectory's candidates in one
-  // cross-trajectory EncodeCandidateBatch (items of one batch may come
-  // from different trajectories by design). base_row maps each item to
-  // its first row of the shared c-vec matrix.
-  nn::NoGradGuard no_grad;
-  std::vector<int> base_row(ready.size(), 0);
-  std::vector<CandidateBatchItem> encode_items;
-  {
-    int total = 0;
-    for (size_t r = 0; r < ready.size(); ++r) {
-      base_row[r] = total;
-      total += static_cast<int>(ready[r].pt.candidates.size());
-    }
-    encode_items.reserve(static_cast<size_t>(total));
-    for (const PendingItem& p : ready) {
-      for (const traj::Candidate& c : p.pt.candidates) {
-        encode_items.push_back({&p.pt, c});
-      }
-    }
-  }
-  const nn::Matrix cvecs =
-      autoencoder_->EncodeCandidateBatch(encode_items).value();
-  cancel_status = token.Check("detect.encode");
-  if (!cancel_status.ok()) return degrade(cancel_status);
-
-  // Stage 3 — fused scoring: per direction, every subgroup of every item
-  // goes through one bucketed (and bucket-fused) scoring sweep; the
-  // per-item softmax over its own concatenated subgroup scores keeps each
-  // output a proper distribution, exactly as in DetectProcessed.
-  std::vector<std::vector<float>> merged(ready.size());
-  std::vector<std::vector<Subgroup>> groups_per_item(ready.size());
-  for (size_t r = 0; r < ready.size(); ++r) {
-    merged[r].assign(ready[r].pt.candidates.size(), 0.0f);
-  }
-  auto accumulate_fused =
-      [&](const StackedBiLstmDetector& detector, bool forward) -> Status {
-    int total_rows = 0;
-    for (size_t r = 0; r < ready.size(); ++r) {
-      const int n = ready[r].pt.num_stays();
-      groups_per_item[r] = forward ? ForwardGroups(n) : BackwardGroups(n);
-      for (const Subgroup& g : groups_per_item[r]) {
-        total_rows += static_cast<int>(g.members.size());
-      }
-    }
-    nn::Matrix grouped(total_rows, cvecs.cols());
-    std::vector<nn::SeqView> views;
-    std::vector<int> lengths;
-    // (item, flat candidate index) of each grouped row, in row order.
-    std::vector<std::pair<int, int>> member_target;
-    member_target.reserve(static_cast<size_t>(total_rows));
-    int row = 0;
-    for (size_t r = 0; r < ready.size(); ++r) {
-      const int n = ready[r].pt.num_stays();
-      for (const Subgroup& g : groups_per_item[r]) {
-        views.push_back({nn::SeqSpan{&grouped, row,
-                                     static_cast<int>(g.members.size())}});
-        lengths.push_back(static_cast<int>(g.members.size()));
-        for (const traj::Candidate& c : g.members) {
-          const int flat = traj::CandidateFlatIndex(n, c);
-          const float* src = cvecs.row(base_row[r] + flat);
-          std::copy(src, src + cvecs.cols(), grouped.row(row++));
-          member_target.emplace_back(static_cast<int>(r), flat);
-        }
-      }
-    }
-    std::vector<LengthBucket> buckets =
-        BucketByLength(lengths, kSubgroupMaxBatch, kSubgroupMaxPadding);
-    buckets = FuseSmallBuckets(std::move(buckets), lengths,
-                               kFastFuseMinBatch, kFastFuseMaxBatch,
-                               kFastFuseMaxPadding);
-    std::vector<nn::Variable> scores(buckets.size());
-    std::vector<std::pair<int, int>> where(views.size());  // (bucket, row)
-    for (size_t kb = 0; kb < buckets.size(); ++kb) {
-      for (size_t j = 0; j < buckets[kb].items.size(); ++j) {
-        where[static_cast<size_t>(buckets[kb].items[j])] = {
-            static_cast<int>(kb), static_cast<int>(j)};
-      }
-    }
-    StrategyParallelFor(
-        ExecStrategy::kFast, static_cast<int64_t>(buckets.size()), threads,
-        [&](int64_t kb) {
-          nn::NoGradGuard lane_no_grad;  // thread-local: lanes need their own
-          const LengthBucket& bucket = buckets[static_cast<size_t>(kb)];
-          obs::ScopedSpan bucket_span(obs::kCatDet, "score_bucket");
-          bucket_span.Arg("subgroups",
-                          static_cast<double>(bucket.items.size()));
-          bucket_span.Arg("max_len", static_cast<double>(bucket.max_len));
-          std::vector<nn::SeqView> bucket_views;
-          bucket_views.reserve(bucket.items.size());
-          for (const int pi : bucket.items) {
-            bucket_views.push_back(views[static_cast<size_t>(pi)]);
-          }
-          scores[static_cast<size_t>(kb)] =
-              detector.ScoreSubgroupsBatch(nn::PackViews(bucket_views));
-        });
-    // Cancelled lanes leave undefined score slots; unwind before slicing.
-    LEAD_RETURN_IF_ERROR(PollCancel("detect.score"));
-    size_t subgroup_cursor = 0;
-    size_t member_cursor = 0;
-    for (size_t r = 0; r < ready.size(); ++r) {
-      std::vector<nn::Variable> parts;
-      parts.reserve(groups_per_item[r].size());
-      for (const Subgroup& g : groups_per_item[r]) {
-        const auto [kb, brow] = where[subgroup_cursor++];
-        parts.push_back(nn::SliceCols(
-            nn::SliceRows(scores[static_cast<size_t>(kb)], brow, 1), 0,
-            static_cast<int>(g.members.size())));
-      }
-      const nn::Variable probs = nn::SoftmaxRows(nn::ConcatCols(parts));
-      const int cols = probs.value().cols();
-      for (int j = 0; j < cols; ++j) {
-        const auto [item_r, flat] = member_target[member_cursor++];
-        merged[static_cast<size_t>(item_r)][static_cast<size_t>(flat)] +=
-            probs.value().at(0, j);
-      }
-    }
-    return Status::Ok();
-  };
-  if (options_.use_forward && forward_detector_ != nullptr) {
-    const Status s = accumulate_fused(*forward_detector_, /*forward=*/true);
-    if (!s.ok()) return degrade(s);
-  }
-  if (options_.use_backward && backward_detector_ != nullptr) {
-    const Status s = accumulate_fused(*backward_detector_, /*forward=*/false);
-    if (!s.ok()) return degrade(s);
-  }
-
-  // Finalize: min-max rescale and argmax per item (Eq. 13), releasing the
-  // item's budget reservation as it leaves `ready` scope at return.
-  for (size_t r = 0; r < ready.size(); ++r) {
-    const PendingItem& p = ready[r];
-    std::vector<float>& m = merged[r];
-    const auto [min_it, max_it] = std::minmax_element(m.begin(), m.end());
-    const float lo = *min_it;
-    const float hi = *max_it;
-    if (!std::isfinite(lo) || !std::isfinite(hi)) {
-      fail_item(p.index,
-                InternalError(
-                    "detector produced non-finite probabilities (corrupt "
-                    "weights or degenerate features)"));
-      continue;
-    }
-    if (hi > lo) {
-      for (float& v : m) v = (v - lo) / (hi - lo);
-    } else {
-      std::fill(m.begin(), m.end(), 1.0f);  // all tied at the max
-    }
-    Detection detection;
-    detection.num_stays = p.pt.num_stays();
-    detection.candidates = p.pt.candidates;
-    const int best = static_cast<int>(
-        std::max_element(m.begin(), m.end()) - m.begin());
-    detection.loaded = detection.candidates[static_cast<size_t>(best)];
-    detection.probabilities = std::move(m);
-    batch.outcomes[static_cast<size_t>(p.index)].detection =
-        std::move(detection);
-    resolved[static_cast<size_t>(p.index)] = 1;
-    ++batch.completed;
-  }
   return batch;
 }
 

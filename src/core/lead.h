@@ -125,11 +125,11 @@ struct DetectOptions {
   // oracle. kFast trades schedule determinism for throughput — dynamic
   // work-stealing loops, fused cross-length score batches
   // (core/batching.h FuseSmallBuckets), and a DetectStream that overlaps
-  // provider reads with preprocessing and scores the whole batch's
-  // candidates in cross-trajectory mega-batches. Decisions (argmax
-  // candidates) are asserted equivalent and probabilities agree within a
-  // documented FP tolerance (tests/differential.h); fast mode currently
-  // forces the eager encode path for its fused batches.
+  // provider reads with preprocessing and scores the whole batch in one
+  // cross-trajectory window. Decisions (argmax candidates) are asserted
+  // equivalent and probabilities agree within a documented FP tolerance
+  // (tests/differential.h). With exec_mode = kPlan every item's encode
+  // and score replay their cached plans under either strategy.
   ExecStrategy strategy = ExecStrategy::kDeterministic;
   // Observability sinks; same semantics as the TrainOptions fields. The
   // library does not scope a collection session per Detect() call (they
@@ -317,16 +317,15 @@ class LeadModel {
                         const std::vector<PreparedSample>& validation,
                         int start_stage, int start_epoch, TrainingLog* log,
                         const TrainCheckpointFn& checkpoint);
-  // ExecStrategy::kFast DetectStream body (grouping variants only):
-  // overlaps provider(i) with Preprocess through a bounded stage queue,
-  // encodes every admitted trajectory's candidates in one
-  // cross-trajectory EncodeCandidateBatch, and scores all subgroups of
-  // all items per direction through fused length buckets. Degradation
-  // semantics (deadline/budget/cancel, partial_results) match
-  // DetectStream item for item.
-  StatusOr<BatchDetection> DetectStreamFused(
-      int count, const TrajectoryProvider& provider,
-      const poi::PoiIndex& poi_index) const;
+  // The online stage's one scoring core (Eq. 13; DESIGN.md §"One detect
+  // core"), behind DetectProcessed and DetectStream: encodes every
+  // candidate of N preprocessed, admitted trajectories, scores both
+  // detector directions (or the NoGro MLP), merges, min-max-rescales and
+  // takes each item's argmax. Fills *results with one result per item (a
+  // non-finite distribution fails only its own item); a cancellation
+  // observed mid-way is returned instead and leaves *results untouched.
+  Status ScoreBatch(const std::vector<const ProcessedTrajectory*>& items,
+                    std::vector<StatusOr<Detection>>* results) const;
   // Full model state (normalizer header + per-module parameter sections),
   // each section CRC-32 protected.
   Status SerializeModel(std::ostream& out) const;

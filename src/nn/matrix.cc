@@ -7,10 +7,6 @@
 
 namespace lead::nn {
 
-namespace internal {
-thread_local int64_t tensor_allocs = 0;
-}  // namespace internal
-
 Matrix Matrix::Full(int rows, int cols, float value) {
   Matrix m(rows, cols);
   m.Fill(value);

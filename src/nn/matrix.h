@@ -18,8 +18,10 @@ namespace internal {
 // and copies that take (or would take) a fresh heap block. plan.cc turns
 // deltas into the nn.plan.allocs metric and bench/fig8_inference_time.cc
 // reports per-detect totals, so the "allocation-free steady state" claim
-// is measured rather than asserted.
-extern thread_local int64_t tensor_allocs;
+// is measured rather than asserted. Defined inline with a constant
+// initializer: an `extern thread_local` read from another translation
+// unit goes through a TLS wrapper that UBSan flags as a null load.
+inline thread_local int64_t tensor_allocs = 0;
 inline void NoteTensorAlloc() { ++tensor_allocs; }
 }  // namespace internal
 

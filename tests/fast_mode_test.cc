@@ -248,6 +248,55 @@ TEST_F(FastModeTest, FuzzedTrajectoriesAgreeAcrossStrategies) {
                           << " fuzzed trajectories were comparable";
 }
 
+// The NoGro MLP scorer and the backward-only NoFor detector run through
+// the same batch core as the full model. Under kFast a DetectBatch is one
+// multi-item window (for NoGro, the MLP scorer's first multi-item one) and
+// must meet the oracle contract; under kDeterministic every item must stay
+// bit-identical to a per-item Detect.
+TEST_F(FastModeTest, ScoringVariantsMatchOracleThroughBatchPath) {
+  for (const core::LeadVariant variant :
+       {core::LeadVariant::kNoGro, core::LeadVariant::kNoFor}) {
+    SCOPED_TRACE(core::LeadVariantName(variant));
+    const auto variant_model = [&](ExecStrategy strategy, int threads) {
+      core::LeadOptions options =
+          core::MakeVariantOptions(config_->lead, variant);
+      options.train.strategy = strategy;
+      options.train.threads = threads;
+      options.detect.strategy = strategy;
+      options.detect.threads = threads;
+      auto model = std::make_unique<core::LeadModel>(options);
+      const Status trained =
+          model->Train(data_->TrainLabeled(), data_->ValLabeled(),
+                       data_->world->poi_index(), nullptr);
+      EXPECT_TRUE(trained.ok()) << trained;
+      return model;
+    };
+    const auto oracle = variant_model(ExecStrategy::kDeterministic, 1);
+    const auto fast = variant_model(ExecStrategy::kFast, 4);
+    const auto fast_batch =
+        fast->DetectBatch(*raws_, data_->world->poi_index());
+    const auto det_batch =
+        oracle->DetectBatch(*raws_, data_->world->poi_index());
+    ASSERT_TRUE(fast_batch.ok()) << fast_batch.status();
+    ASSERT_TRUE(det_batch.ok()) << det_batch.status();
+    ASSERT_EQ(fast_batch->completed, Count());
+    ASSERT_EQ(det_batch->completed, Count());
+    for (size_t i = 0; i < raws_->size(); ++i) {
+      SCOPED_TRACE("item " + std::to_string(i));
+      const auto want = oracle->Detect((*raws_)[i], data_->world->poi_index());
+      ASSERT_TRUE(want.ok()) << want.status();
+      const core::Detection& fast_have = fast_batch->outcomes[i].detection;
+      EXPECT_TRUE(diff::SameDecision(*want, fast_have));
+      EXPECT_TRUE(diff::ProbsWithin(want->probabilities,
+                                    fast_have.probabilities, kProbTol));
+      const core::Detection& det_have = det_batch->outcomes[i].detection;
+      EXPECT_TRUE(diff::SameDecision(*want, det_have));
+      EXPECT_TRUE(diff::ProbsWithin(want->probabilities,
+                                    det_have.probabilities, 0.0f));
+    }
+  }
+}
+
 // Training-loss bands: with real epochs, the fast gradient schedule
 // (thread-sized shards, flat reduction) may drift from the oracle's
 // fixed 16-sample shards and pairwise tree, but each per-epoch loss must
@@ -297,7 +346,7 @@ TEST_F(FastModeTest, TrainingLossCurvesStayWithinBands) {
 
 // A read stalled inside the producer thread must not outlive the
 // deadline: the consumer sheds the batch and the producer is joined
-// before DetectStreamFused returns.
+// before DetectStream returns.
 TEST_F(FastModeTest, FastStreamHonorsDeadlineUnderStalledReads) {
   if (!fault::Enabled()) GTEST_SKIP() << "fault injection compiled out";
   const auto model = ModelWith(ExecStrategy::kFast, 4, /*deadline_ms=*/300);

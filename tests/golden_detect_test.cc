@@ -9,6 +9,7 @@
 //
 // To regenerate after an intentional change:
 //   LEAD_UPDATE_GOLDEN=1 ./build/tests/golden_detect_test
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/exec_strategy.h"
 #include "core/lead.h"
 #include "eval/harness.h"
+#include "obs/metrics.h"
 
 namespace lead {
 namespace {
@@ -35,9 +38,8 @@ std::string GoldenPath() {
   return std::string(LEAD_GOLDEN_DIR) + "/detect_probs.txt";
 }
 
-// One line per candidate: "<trajectory_id> <flat_index> <probability>".
-// %.9g round-trips a float exactly, so string equality is bit equality.
-std::vector<std::string> CurrentLines() {
+// The golden corpus: a fixed simulated world, dataset and seed.
+eval::ExperimentConfig GoldenConfig() {
   eval::ExperimentConfig config = eval::DefaultConfig(1.0);
   config.world.num_background_pois = 1500;
   config.world.num_loading_facilities = 8;
@@ -49,29 +51,48 @@ std::vector<std::string> CurrentLines() {
   config.sim.sample_interval_mean_s = 240.0;
   config.lead.train.autoencoder_epochs = 0;
   config.lead.train.detector_epochs = 0;
+  return config;
+}
+
+// A model on the golden corpus with `lead` options (0 epochs: the
+// normalizer is fitted, the weights stay at their seeded init).
+std::unique_ptr<core::LeadModel> TrainedModel(
+    const core::LeadOptions& lead, const eval::ExperimentData& data) {
+  auto model = std::make_unique<core::LeadModel>(lead);
+  const Status trained =
+      model->Train(data.TrainLabeled(), data.ValLabeled(),
+                   data.world->poi_index(), nullptr);
+  EXPECT_TRUE(trained.ok()) << trained;
+  return model;
+}
+
+// One line per candidate: "<trajectory_id> <flat_index> <probability>".
+// %.9g round-trips a float exactly, so string equality is bit equality.
+void AppendLines(const std::string& trajectory_id,
+                 const core::Detection& detection,
+                 std::vector<std::string>* lines) {
+  for (size_t i = 0; i < detection.probabilities.size(); ++i) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "%s %zu %.9g", trajectory_id.c_str(), i,
+                  static_cast<double>(detection.probabilities[i]));
+    lines->emplace_back(buf);
+  }
+}
+
+std::vector<std::string> CurrentLines() {
+  const eval::ExperimentConfig config = GoldenConfig();
   auto data = eval::BuildExperiment(config);
   EXPECT_TRUE(data.ok()) << data.status();
-
-  core::LeadModel model(config.lead);
-  const Status trained =
-      model.Train(data->TrainLabeled(), data->ValLabeled(),
-                  data->world->poi_index(), nullptr);
-  EXPECT_TRUE(trained.ok()) << trained;
+  const auto model = TrainedModel(config.lead, *data);
 
   std::vector<std::string> lines;
   int used = 0;
   for (const sim::SimulatedDay& day : data->split.test) {
     if (used >= kMaxTrajectories) break;
-    auto detection = model.Detect(day.raw, data->world->poi_index());
+    auto detection = model->Detect(day.raw, data->world->poi_index());
     if (!detection.ok()) continue;
     ++used;
-    for (size_t i = 0; i < detection->probabilities.size(); ++i) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "%s %zu %.9g",
-                    day.raw.trajectory_id.c_str(), i,
-                    static_cast<double>(detection->probabilities[i]));
-      lines.emplace_back(buf);
-    }
+    AppendLines(day.raw.trajectory_id, *detection, &lines);
   }
   EXPECT_GT(used, 0);
   return lines;
@@ -132,6 +153,83 @@ TEST(GoldenDetectTest, ProbabilitiesMatchGoldenFile) {
                           : "")
       << "If the change is intentional, regenerate with "
          "LEAD_UPDATE_GOLDEN=1.";
+}
+
+// The batch paths share Detect's scoring core, so they must reproduce the
+// fixture byte for byte: DetectBatch and a DetectStream provider under the
+// deterministic strategy for every exec mode and lane count, and a fast
+// DetectBatch in plan mode, where every item replays its cached encode and
+// score plans.
+TEST(GoldenDetectTest, BatchPathsMatchGoldenFile) {
+  const std::vector<std::string> expected = ReadLines(GoldenPath());
+  ASSERT_FALSE(expected.empty()) << "no golden fixture at " << GoldenPath();
+  const eval::ExperimentConfig config = GoldenConfig();
+  auto data = eval::BuildExperiment(config);
+  ASSERT_TRUE(data.ok()) << data.status();
+  std::vector<traj::RawTrajectory> raws;
+  for (const sim::SimulatedDay& day : data->split.test) {
+    raws.push_back(day.raw);
+  }
+
+  struct Run {
+    bool stream;
+    ExecStrategy strategy;
+    core::ExecMode mode;
+    int threads;
+  };
+  std::vector<Run> runs;
+  for (const bool stream : {false, true}) {
+    for (const core::ExecMode mode :
+         {core::ExecMode::kEager, core::ExecMode::kPlan}) {
+      for (const int threads : {1, 4}) {
+        runs.push_back({stream, ExecStrategy::kDeterministic, mode, threads});
+      }
+    }
+  }
+  runs.push_back({false, ExecStrategy::kFast, core::ExecMode::kPlan, 4});
+
+  for (const Run& run : runs) {
+    SCOPED_TRACE(std::string(run.stream ? "DetectStream" : "DetectBatch") +
+                 " strategy=" + ExecStrategyName(run.strategy) + " mode=" +
+                 (run.mode == core::ExecMode::kPlan ? "plan" : "eager") +
+                 " threads=" + std::to_string(run.threads));
+    core::LeadOptions lead = config.lead;
+    lead.detect.strategy = run.strategy;
+    lead.detect.exec_mode = run.mode;
+    lead.detect.threads = run.threads;
+    const auto model = TrainedModel(lead, *data);
+    obs::Counter& hits = obs::GetCounter("nn.plan.cache_hits");
+    obs::Counter& misses = obs::GetCounter("nn.plan.cache_misses");
+    const int64_t lookups_before = hits.Value() + misses.Value();
+    const StatusOr<core::BatchDetection> batch = [&] {
+      const poi::PoiIndex& poi = data->world->poi_index();
+      if (!run.stream) return model->DetectBatch(raws, poi);
+      return model->DetectStream(
+          static_cast<int>(raws.size()),
+          [&raws](int index) -> StatusOr<traj::RawTrajectory> {
+            return raws[static_cast<size_t>(index)];
+          },
+          poi);
+    }();
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    if (run.mode == core::ExecMode::kPlan) {
+      // Bytes alone cannot tell a plan replay from the eager path (they
+      // are bit-identical), so count the lookups: every detected item
+      // replays or records its encode plan and one scoring plan per
+      // direction, under either strategy.
+      EXPECT_GE(hits.Value() + misses.Value() - lookups_before,
+                3 * batch->completed);
+    }
+    std::vector<std::string> actual;
+    int used = 0;
+    for (size_t i = 0; i < raws.size() && used < kMaxTrajectories; ++i) {
+      const core::DetectionOutcome& outcome = batch->outcomes[i];
+      if (!outcome.status.ok()) continue;
+      ++used;
+      AppendLines(raws[i].trajectory_id, outcome.detection, &actual);
+    }
+    EXPECT_EQ(actual, expected);
+  }
 }
 
 }  // namespace
