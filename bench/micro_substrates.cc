@@ -5,6 +5,7 @@
 // phase-1 encoding is covered by ablation_shared_encoding).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "nn/batch.h"
 #include "nn/lstm.h"
 #include "nn/ops.h"
+#include "nn/vec_math.h"
 #include "sim/truck_sim.h"
 #include "sim/world.h"
 #include "traj/noise_filter.h"
@@ -290,6 +292,34 @@ void BM_Phase2Encode(benchmark::State& state) {
                           static_cast<int64_t>(items.size()));
 }
 BENCHMARK(BM_Phase2Encode)->Arg(13);
+
+// The gate nonlinearities (nn/vec_math.h) over n inputs in the gate range
+// (Arg 1): the dispatched vector kernel (Arg 0 = 1, labelled with its ISA)
+// against the std:: loop it reproduces bit for bit (Arg 0 = 0).
+void VecMathBench(benchmark::State& state, bool tanh) {
+  const bool vector = state.range(0) != 0;
+  const int n = static_cast<int>(state.range(1));
+  Rng rng(59);
+  const nn::Matrix in = nn::Matrix::Uniform(1, n, 4.0f, &rng);
+  const nn::internal::VecMathKernels kernels =
+      vector ? nn::internal::DispatchedVecMath()
+             : nn::internal::ScalarVecMath();
+  const nn::internal::VecMathFn fn = tanh ? kernels.tanh : kernels.sigmoid;
+  std::vector<float> buf(static_cast<size_t>(n));
+  for (auto _ : state) {
+    std::copy(in.data(), in.data() + n, buf.data());
+    fn(buf.data(), n);
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(vector ? kernels.isa : "std");
+}
+
+void BM_VecTanh(benchmark::State& state) { VecMathBench(state, true); }
+BENCHMARK(BM_VecTanh)->ArgsProduct({{0, 1}, {64, 4096}});
+
+void BM_VecSigmoid(benchmark::State& state) { VecMathBench(state, false); }
+BENCHMARK(BM_VecSigmoid)->ArgsProduct({{0, 1}, {64, 4096}});
 
 void BM_LstmTrainStep(benchmark::State& state) {
   // Forward + backward through a 64-step sequence (training-path cost).

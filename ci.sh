@@ -107,7 +107,7 @@ cmake -B build-shapes -S . -DLEAD_CHECK_SHAPES=ON \
   -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
 SHAPE_TESTS=(matrix_test autograd_test layers_test optim_test optim2_test \
              ops_reference_test batch_test autoencoder_test contract_test \
-             infer_kernel_test)
+             infer_kernel_test vec_math_test)
 cmake --build build-shapes -j --target "${SHAPE_TESTS[@]}"
 for t in "${SHAPE_TESTS[@]}"; do
   echo "--- $t (LEAD_CHECK_SHAPES) ---"
@@ -159,11 +159,12 @@ grep -q '"cat":"pool"' "$OBS_DIR/parity_trace.json" ||
 grep -q '"train.autoencoder.loss"' "$OBS_DIR/lead_metrics.json" ||
   { echo "metrics are missing the training loss series" >&2; exit 1; }
 # The fused no-grad inference kernels report next to the span guards:
-# the detector-shaped recurrence, the small-M GEMM blocks and the
-# prefix-shared phase-2 encode.
+# the detector-shaped recurrence, the small-M GEMM blocks, the
+# prefix-shared phase-2 encode and the vector gate nonlinearities against
+# the std:: loops.
 cmake --build build -j --target micro_substrates >/dev/null
 ./build/bench/micro_substrates \
-  --benchmark_filter='BM_TraceOverhead|BM_RecorderSpan|BM_LstmSequenceInfer|BM_Gemm/./64/256|BM_Phase2Encode' \
+  --benchmark_filter='BM_TraceOverhead|BM_RecorderSpan|BM_LstmSequenceInfer|BM_Gemm/./64/256|BM_Phase2Encode|BM_VecTanh|BM_VecSigmoid' \
   --benchmark_min_time=0.05
 
 echo "=== post-mortem: anomaly dump + obs report + sampling profiler ==="
@@ -209,7 +210,8 @@ cmake -B build-asan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
 NN_TESTS=(matrix_test autograd_test layers_test optim_test optim2_test \
           ops_reference_test batch_test io_test gpx_test \
-          serialize_robustness_test plan_test infer_kernel_test)
+          serialize_robustness_test plan_test infer_kernel_test \
+          vec_math_test)
 cmake --build build-asan -j --target "${NN_TESTS[@]}"
 for t in "${NN_TESTS[@]}"; do
   echo "--- $t (ASan/UBSan) ---"
@@ -226,11 +228,26 @@ cmake -B build-tsan -S . \
   -DLEAD_FAULT_INJECTION=ON \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-TSAN_TESTS=(obs_test parallel_parity_test resilience_test poi_test lead_test
-  plan_test chaos_test thread_pool_test fast_mode_test infer_kernel_test)
-cmake --build build-tsan -j --target "${TSAN_TESTS[@]}"
+TSAN_TESTS=(obs_test parallel_parity_test resilience_test poi_test plan_test
+  chaos_test thread_pool_test fast_mode_test infer_kernel_test vec_math_test)
+cmake --build build-tsan -j --target lead_test "${TSAN_TESTS[@]}"
+# lead_test runs as its four ctest filter shards (tests/CMakeLists.txt), in
+# the background and concurrently, while the other suites run one by one:
+# its training shard alone is most of the stage's wall clock. A failing
+# suite is recorded, not fatal, until the shards are waited for, so the
+# background run never outlives this script.
+echo "--- lead_test (TSan, ctest label lead_shard, in the background) ---"
+TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan -L lead_shard -j4 \
+  --output-on-failure > build-tsan/lead_shards.log 2>&1 &
+SHARDS_PID=$!
+TSAN_FAILED=()
 for t in "${TSAN_TESTS[@]}"; do
   echo "--- $t (TSan) ---"
-  TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/$t"
+  TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/$t" ||
+    TSAN_FAILED+=("$t")
 done
+wait "$SHARDS_PID" || TSAN_FAILED+=(lead_test)
+cat build-tsan/lead_shards.log
+[[ ${#TSAN_FAILED[@]} -eq 0 ]] ||
+  { echo "failed under TSan: ${TSAN_FAILED[*]}" >&2; exit 1; }
 echo "=== ci.sh: all green ==="

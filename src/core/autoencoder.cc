@@ -13,6 +13,7 @@
 #include "nn/infer_kernels.h"
 #include "nn/ops.h"
 #include "nn/plan.h"
+#include "nn/vec_math.h"
 
 namespace lead::core {
 
@@ -257,8 +258,7 @@ void CompressionOperator::InferHead(const float* agg, int rows,
                                      fc1_.out_features());
   fc1_.InferRows(agg, rows, fc1_out.data());
   fc2_.InferRows(fc1_out.data(), rows, out);
-  const size_t n = static_cast<size_t>(rows) * output_dims_;
-  for (size_t i = 0; i < n; ++i) out[i] = std::tanh(out[i]);
+  nn::TanhInPlace(out, rows * output_dims_);
 }
 
 void CompressionOperator::InferStacked(const nn::StackedLayout& layout,

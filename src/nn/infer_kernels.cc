@@ -13,6 +13,7 @@
 #include "nn/matrix.h"
 #include "nn/plan.h"
 #include "nn/variable.h"
+#include "nn/vec_math.h"
 
 namespace lead::nn::internal {
 
@@ -29,24 +30,29 @@ struct ScratchPool {
 
 thread_local ScratchPool scratch_pool;
 
-// The op path's Sigmoid kernel, verbatim.
-inline float SigmoidOf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
 // A masked-out row (m = +0, im = 1) keeps its state: the op path computes
 // c = (c' * 0) + (c * 1). When no preactivation is NaN, every gate is
 // finite and in range, so |c'| <= |c| + 1 and h' = o tanh(c') are finite,
 // c' * 0 is a zero, and zero + c == c bit for bit -- unless c is -0,
-// where the zero's sign (the sign of c') decides. Same for h. So the
-// fresh state, and its transcendentals, are needed only for a NaN
+// where the zero's sign (the sign of c') decides. Same for h. So a frozen
+// row needs its fresh state, and its transcendentals, only for a NaN
 // preactivation, a non-finite state or a -0 state; padded steps of a
-// ragged batch skip them and stay bit-identical.
-inline bool FrozenStateHolds(float pre_i, float pre_f, float pre_g,
-                             float pre_o, float c, float h) {
-  const bool nan_pre = std::isnan(pre_i) || std::isnan(pre_f) ||
-                       std::isnan(pre_g) || std::isnan(pre_o);
-  const bool minus_zero = (c == 0.0f && std::signbit(c)) ||  // lead-lint: allow(float-eq)
-                          (h == 0.0f && std::signbit(h));    // lead-lint: allow(float-eq)
-  return !nan_pre && std::isfinite(c) && std::isfinite(h) && !minus_zero;
+// ragged batch skip the row otherwise and stay bit-identical. A row that
+// does not hold runs the full update, whose masked blend gives every
+// element that would have held its old bits anyway.
+inline bool FrozenRowHolds(const float* pre, const float* c, const float* h,
+                           int hidden) {
+  for (int j = 0; j < 4 * hidden; ++j) {
+    if (std::isnan(pre[j])) return false;
+  }
+  for (int j = 0; j < hidden; ++j) {
+    if (!std::isfinite(c[j]) || !std::isfinite(h[j])) return false;
+    if ((c[j] == 0.0f && std::signbit(c[j])) ||  // lead-lint: allow(float-eq)
+        (h[j] == 0.0f && std::signbit(h[j]))) {  // lead-lint: allow(float-eq)
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -107,9 +113,12 @@ void RunLstmRecurrence(const LstmRecurrence& r) {
   ScratchLease h_state(state_floats);
   ScratchLease c_state(state_floats);
   ScratchLease gates(static_cast<size_t>(batch) * g4);
+  ScratchLease cell(static_cast<size_t>(2) * h);
   float* hs = h_state.data();
   float* cs = c_state.data();
   float* gs = gates.data();
+  float* c_fresh = cell.data();
+  float* tanh_c = cell.data() + h;
   std::fill(hs, hs + state_floats, 0.0f);
   std::fill(cs, cs + state_floats, 0.0f);
 
@@ -127,7 +136,7 @@ void RunLstmRecurrence(const LstmRecurrence& r) {
     GemmOverwriteRaw(hs, r.w_hh, gs, rows, h, g4);
     for (int b = 0; b < rows; ++b) {
       const float* p = proj + static_cast<size_t>(b) * g4;
-      const float* g = gs + static_cast<size_t>(b) * g4;
+      float* g = gs + static_cast<size_t>(b) * g4;
       float* hb = hs + static_cast<size_t>(b) * h;
       float* cb = cs + static_cast<size_t>(b) * h;
       const bool masked = r.mask != nullptr;
@@ -135,27 +144,28 @@ void RunLstmRecurrence(const LstmRecurrence& r) {
       const float im = masked ? r.inv_mask[row0 + b] : 0.0f;
       const bool frozen = masked && m == 0.0f &&  // lead-lint: allow(float-eq)
                           !std::signbit(m) && im == 1.0f;  // lead-lint: allow(float-eq)
-      for (int j = 0; j < h; ++j) {
-        const float pre_i = (p[j] + g[j]) + r.bias[j];
-        const float pre_f = (p[h + j] + g[h + j]) + r.bias[h + j];
-        const float pre_g = (p[2 * h + j] + g[2 * h + j]) + r.bias[2 * h + j];
-        const float pre_o = (p[3 * h + j] + g[3 * h + j]) + r.bias[3 * h + j];
-        if (frozen &&
-            FrozenStateHolds(pre_i, pre_f, pre_g, pre_o, cb[j], hb[j])) {
-          continue;
+      // pre = (xW + hU) + b over the row's [i f g o] blocks, overwriting
+      // hU; then the gate nonlinearities as whole vectors.
+      for (int j = 0; j < g4; ++j) g[j] = (p[j] + g[j]) + r.bias[j];
+      if (!frozen || !FrozenRowHolds(g, cb, hb, h)) {
+        SigmoidInPlace(g, 2 * h);  // i, f
+        TanhInPlace(g + 2 * h, h);  // g
+        SigmoidInPlace(g + 3 * h, h);  // o
+        for (int j = 0; j < h; ++j) {
+          c_fresh[j] = (g[h + j] * cb[j]) + (g[j] * g[2 * h + j]);
         }
-        const float i_gate = SigmoidOf(pre_i);
-        const float f_gate = SigmoidOf(pre_f);
-        const float g_cand = std::tanh(pre_g);
-        const float o_gate = SigmoidOf(pre_o);
-        float c_next = (f_gate * cb[j]) + (i_gate * g_cand);
-        float h_next = o_gate * std::tanh(c_next);
-        if (masked) {
-          c_next = (c_next * m) + (cb[j] * im);
-          h_next = (h_next * m) + (hb[j] * im);
+        std::copy(c_fresh, c_fresh + h, tanh_c);
+        TanhInPlace(tanh_c, h);
+        for (int j = 0; j < h; ++j) {
+          float c_next = c_fresh[j];
+          float h_next = g[3 * h + j] * tanh_c[j];
+          if (masked) {
+            c_next = (c_next * m) + (cb[j] * im);
+            h_next = (h_next * m) + (hb[j] * im);
+          }
+          cb[j] = c_next;
+          hb[j] = h_next;
         }
-        cb[j] = c_next;
-        hb[j] = h_next;
       }
       float* dst = r.out + static_cast<size_t>(row0 + b) * r.out_stride;
       std::copy(hb, hb + h, dst);

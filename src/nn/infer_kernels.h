@@ -7,8 +7,9 @@
 // intermediate in thread-local scratch, so a steady-state call performs
 // no tensor allocation. The epilogues reproduce the eager op sequence
 // (ops.cc / op_kernels.cc) element by element -- same operands, same
-// association, same libm calls -- and this file is compiled with
-// -ffp-contract=off so no multiply-add pair can be contracted. The
+// association, the same tanh / sigmoid kernels (vec_math.h) -- and this
+// file is compiled with -ffp-contract=off so no multiply-add pair can be
+// contracted. The
 // results are therefore bit-identical to the op-by-op path, which stays
 // the training tape, the plan-recording path and the test oracle
 // (tests/infer_kernel_test.cc).

@@ -12,6 +12,7 @@
 
 #include "nn/matrix.h"
 #include "nn/op_registry.h"
+#include "nn/vec_math.h"
 
 namespace lead::nn {
 
@@ -84,18 +85,20 @@ void TransposeKernel(const OpCall& call) {
   }
 }
 
+// Tanh and Sigmoid run the bit-exact vector kernels of vec_math.h, the
+// same ones the fused LSTM epilogue (infer_kernels.cc) calls.
 void TanhKernel(const OpCall& call) {
   const int n = OutSize(call);
   const float* a = call.in[0].data;
-  for (int i = 0; i < n; ++i) call.out[i] = std::tanh(a[i]);
+  if (call.out != a) std::copy(a, a + n, call.out);
+  TanhInPlace(call.out, n);
 }
 
 void SigmoidKernel(const OpCall& call) {
   const int n = OutSize(call);
   const float* a = call.in[0].data;
-  for (int i = 0; i < n; ++i) {
-    call.out[i] = 1.0f / (1.0f + std::exp(-a[i]));
-  }
+  if (call.out != a) std::copy(a, a + n, call.out);
+  SigmoidInPlace(call.out, n);
 }
 
 void ReluKernel(const OpCall& call) {
