@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "nn/matrix.h"
 #include "obs/trace.h"
 
 using namespace lead;
@@ -163,110 +162,15 @@ int main() {
       std::snprintf(
           record, sizeof(record),
           "{\"bench\": \"fig8_detect\", \"strategy\": \"%s\", "
-          "\"exec_mode\": \"%s\", "
           "\"threads\": %d, \"seconds\": %.4f, \"passes\": %d, "
           "\"trajectories\": %d, \"sec_per_trajectory\": %.5f, "
           "\"points_per_sec\": %.1f, \"speedup_vs_serial\": %.3f, "
           "\"scale\": %.2f, %s}",
-          ExecStrategyName(strategy),
-          options.detect.exec_mode == core::ExecMode::kPlan ? "plan"
-                                                            : "eager",
-          threads, best, kPasses, detected, sec_per_traj, points_per_sec,
-          speedup, scale, bench::HardwareTagFields().c_str());
+          ExecStrategyName(strategy), threads, best, kPasses, detected,
+          sec_per_traj, points_per_sec, speedup, scale,
+          bench::HardwareTagFields().c_str());
       bench::AppendJsonLine("BENCH_parallel.json", record);
     }
-  }
-  // Eager vs. compiled-plan inference on one thread: the same weights,
-  // preprocessing hoisted out of the timed loop so only the network
-  // forward is measured. Plan mode replays cached arena-backed schedules
-  // after one warm-up detect per shape signature, so its steady state
-  // performs no tensor allocations; the eager tape allocates one tensor
-  // per node. Records append to BENCH_plan.json.
-  std::printf("\nExec-mode sweep (threads=1, preprocessing hoisted):\n");
-  {
-    LEAD_TRACE_SCOPE(obs::kCatBench, "exec_mode_sweep");
-    core::LeadOptions options = config.lead;
-    options.detect.threads = 1;
-    options.detect.exec_mode = core::ExecMode::kEager;
-    core::LeadModel eager(options);
-    options.detect.exec_mode = core::ExecMode::kPlan;
-    core::LeadModel plan(options);
-    if (!eager.Load(snapshot).ok() || !plan.Load(snapshot).ok()) {
-      std::fprintf(stderr, "model reload failed\n");
-      return 1;
-    }
-    std::vector<core::ProcessedTrajectory> pts;
-    for (const sim::SimulatedDay& day : data.split.test) {
-      auto pt = eager.Preprocess(day.raw, data.world->poi_index());
-      if (pt.ok()) pts.push_back(std::move(pt).value());
-    }
-    // Warm-up records every shape signature's plans outside the timing.
-    for (const auto& pt : pts) {
-      if (const auto d = plan.DetectProcessed(pt); !d.ok()) {
-        std::fprintf(stderr, "warm-up detect failed: %s\n",
-                     d.status().ToString().c_str());
-        return 1;
-      }
-    }
-
-    constexpr int kIters = 5;
-    const int64_t detects = static_cast<int64_t>(kIters) *
-                            static_cast<int64_t>(pts.size());
-    struct ModeRun {
-      double seconds;  // best single pass over the test split
-      int64_t allocs_per_detect;
-      int64_t ok;
-    };
-    // Best-of-kIters per mode: on a shared core the minimum pass time is
-    // the least-interference estimate, so the eager/plan ratio is not
-    // skewed by whichever mode happened to share its slice with noise.
-    auto run = [&](core::LeadModel& model) -> ModeRun {
-      int64_t ok = 0;
-      double best = 0.0;
-      const int64_t allocs_before = nn::TensorAllocsThisThread();
-      for (int it = 0; it < kIters; ++it) {
-        const obs::Stopwatch watch;
-        for (const auto& pt : pts) {
-          if (model.DetectProcessed(pt).ok()) ++ok;
-        }
-        const double pass = watch.ElapsedSeconds();
-        if (it == 0 || pass < best) best = pass;
-      }
-      const int64_t allocs = nn::TensorAllocsThisThread() - allocs_before;
-      return {best, detects > 0 ? allocs / detects : 0, ok};
-    };
-    const ModeRun eager_run = run(eager);
-    const ModeRun plan_run = run(plan);
-    if (eager_run.ok != detects || plan_run.ok != detects) {
-      std::fprintf(stderr, "exec-mode sweep: detect failures (eager %lld, "
-                   "plan %lld of %lld)\n",
-                   static_cast<long long>(eager_run.ok),
-                   static_cast<long long>(plan_run.ok),
-                   static_cast<long long>(detects));
-      return 1;
-    }
-    const double speedup =
-        plan_run.seconds > 0.0 ? eager_run.seconds / plan_run.seconds : 0.0;
-    std::printf(
-        "  eager  %6.3fs best pass  %lld tensor allocs/detect\n"
-        "  plan   %6.3fs best pass  %lld tensor allocs/detect  "
-        "speedup x%.2f\n",
-        eager_run.seconds,
-        static_cast<long long>(eager_run.allocs_per_detect), plan_run.seconds,
-        static_cast<long long>(plan_run.allocs_per_detect), speedup);
-    char record[384];
-    std::snprintf(
-        record, sizeof(record),
-        "{\"bench\": \"fig8_exec_mode\", \"iters\": %d, "
-        "\"trajectories\": %d, \"eager_seconds\": %.4f, "
-        "\"plan_seconds\": %.4f, \"speedup_plan_vs_eager\": %.3f, "
-        "\"eager_allocs_per_detect\": %lld, "
-        "\"plan_allocs_per_detect\": %lld, \"scale\": %.2f}",
-        kIters, static_cast<int>(pts.size()), eager_run.seconds,
-        plan_run.seconds, speedup,
-        static_cast<long long>(eager_run.allocs_per_detect),
-        static_cast<long long>(plan_run.allocs_per_detect), scale);
-    bench::AppendJsonLine("BENCH_plan.json", record);
   }
   std::remove(snapshot.c_str());
   return 0;

@@ -22,10 +22,10 @@
 # `lead_cli obs report` with the right cause, the sampling profiler must
 # attribute >=90% of fig8 samples to named span categories, and
 # bench_trend prints its warn-only trend table), an
-# ASan/UBSan-instrumented build of the nn-layer, io/serialize,
-# execution-plan and inference-kernel tests
-# (the batched step kernels, autograd, plan arenas, scratch leases and
-# binary checkpoint parsing are where memory bugs would hide), and a TSan build of the multi-threaded
+# ASan/UBSan-instrumented build of the nn-layer, io/serialize and
+# inference-kernel tests (the batched step kernels, autograd, scratch
+# leases and binary checkpoint parsing are where memory bugs would
+# hide), and a TSan build of the multi-threaded
 # suites (parallel parity, resilience under parallel training, and the
 # end-to-end lead tests).
 #
@@ -210,8 +210,7 @@ cmake -B build-asan -S . \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
 NN_TESTS=(matrix_test autograd_test layers_test optim_test optim2_test \
           ops_reference_test batch_test io_test gpx_test \
-          serialize_robustness_test plan_test infer_kernel_test \
-          vec_math_test)
+          serialize_robustness_test infer_kernel_test vec_math_test)
 cmake --build build-asan -j --target "${NN_TESTS[@]}"
 for t in "${NN_TESTS[@]}"; do
   echo "--- $t (ASan/UBSan) ---"
@@ -228,8 +227,8 @@ cmake -B build-tsan -S . \
   -DLEAD_FAULT_INJECTION=ON \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-TSAN_TESTS=(obs_test parallel_parity_test resilience_test poi_test plan_test
-  chaos_test thread_pool_test fast_mode_test infer_kernel_test vec_math_test)
+TSAN_TESTS=(obs_test parallel_parity_test resilience_test poi_test chaos_test
+  thread_pool_test fast_mode_test infer_kernel_test vec_math_test)
 cmake --build build-tsan -j --target lead_test "${TSAN_TESTS[@]}"
 # lead_test runs as its four ctest filter shards (tests/CMakeLists.txt), in
 # the background and concurrently, while the other suites run one by one:

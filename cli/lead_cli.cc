@@ -9,16 +9,14 @@
 //       split) and writes the checkpoint to FILE. --threads 0 (default)
 //       uses all hardware threads; any value gives bit-identical results.
 //   lead_cli detect --data DIR --model FILE [--trajectory ID] [--threads N]
-//       [--exec-mode eager|plan] [--strategy deterministic|fast]
-//       [--deadline-ms N] [--memory-budget-mb N]
+//       [--strategy deterministic|fast] [--deadline-ms N]
+//       [--memory-budget-mb N]
 //       Detects the loaded trajectory of one trajectory (default: the
-//       first) and prints the candidate distribution. --exec-mode plan
-//       replays compiled per-shape execution plans (bit-identical to
-//       eager, allocation-free once warm). --strategy fast opts into the
-//       throughput-first execution strategy (work-stealing loops, fused
-//       score batches; decisions equivalent, probabilities within the
-//       documented FP tolerance — DESIGN.md §"Fast execution strategy");
-//       deterministic (default) stays the bit-parity oracle.
+//       first) and prints the candidate distribution. --strategy fast opts
+//       into the throughput-first execution strategy (work-stealing loops,
+//       fused score batches; decisions equivalent, probabilities within
+//       the documented FP tolerance — DESIGN.md §"Fast execution
+//       strategy"); deterministic (default) stays the bit-parity oracle.
 //   lead_cli evaluate --data DIR --model FILE
 //       Evaluates detection accuracy per stay-count bucket on the
 //       held-out test split.
@@ -38,9 +36,9 @@
 // Robustness flags (DESIGN.md §"Deadlines, cancellation, and budgets"):
 // --deadline-ms N bounds each detect call — on expiry it returns a
 // DEADLINE_EXCEEDED status instead of running to completion.
-// --memory-budget-mb N caps admission-controlled allocations (plan
-// arenas, detect scratch); over-budget work degrades to smaller/slower
-// paths or sheds with RESOURCE_EXHAUSTED rather than OOM-ing. 0 (the
+// --memory-budget-mb N caps admission-controlled allocations (detect
+// scratch); over-budget work sheds with RESOURCE_EXHAUSTED rather than
+// OOM-ing. 0 (the
 // default) disables each limit. --dump-dir DIR enables anomaly-triggered
 // post-mortem dumps into DIR (DESIGN.md §"Post-mortem diagnostics").
 //
@@ -218,16 +216,6 @@ core::LeadOptions CliLeadOptions(const Flags& flags) {
   options.detect.trace_out = options.train.trace_out;
   options.detect.metrics_out = options.train.metrics_out;
   options.detect.log_level = options.train.log_level;
-  // --exec-mode=plan compiles per-shape execution plans for inference
-  // (bit-identical to eager; see DESIGN.md §"Execution plans and memory
-  // planning").
-  const std::string exec_mode = FlagOr(flags, "exec-mode", "eager");
-  if (exec_mode == "plan") {
-    options.detect.exec_mode = core::ExecMode::kPlan;
-  } else if (exec_mode != "eager") {
-    std::fprintf(stderr, "warning: unknown --exec-mode '%s'; using eager\n",
-                 exec_mode.c_str());
-  }
   // --strategy=fast opts train AND detect into the throughput-first
   // execution strategy; deterministic (default) keeps bit parity.
   const std::string strategy = FlagOr(flags, "strategy", "deterministic");

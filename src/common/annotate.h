@@ -1,8 +1,8 @@
 // Clang thread-safety capability annotations + annotated lock types.
 //
 // The locking discipline of every concurrent subsystem (thread pool,
-// stage queues, fault registry, metrics stripes, trace buffers, plan
-// cache) is machine-checked at compile time under Clang:
+// stage queues, fault registry, metrics stripes, trace buffers) is
+// machine-checked at compile time under Clang:
 //
 //   -DLEAD_THREAD_SAFETY=ON   (CMake; promotes -Wthread-safety and
 //                              -Wthread-safety-beta to errors)

@@ -1,19 +1,18 @@
 // Process-wide memory budget with admission control.
 //
 // The accountant tracks bytes *admitted* for large transient workloads
-// (bucket batches in DetectProcessed, plan arenas in nn/plan.cc) against a
-// configurable cap. Admission is rejected — kResourceExhausted — only for
-// *new* work; in-flight reservations are never revoked, so a stage that
-// was admitted always gets to finish. Cap 0 (the default) disables
+// (each trajectory's scoring matrices, admitted before Detect scores it)
+// against a configurable cap. Admission is rejected — kResourceExhausted
+// — only for *new* work; in-flight reservations are never revoked, so a
+// stage that was admitted always gets to finish. Cap 0 (the default) disables
 // enforcement; accounting still runs so the mem.budget.used_bytes gauge
 // stays truthful.
 //
 // This is deliberately not a malloc hook: admission happens at the few
 // sites that create large, predictable allocations, where the caller can
 // estimate the size up front and has a graceful fallback (shed the
-// trajectory, fall back to eager execution). The `alloc.fail` fault point
-// fires inside Admit() so chaos tests can force rejections without
-// actually exhausting memory.
+// trajectory). The `alloc.fail` fault point fires inside Admit() so chaos
+// tests can force rejections without actually exhausting memory.
 #pragma once
 
 #include <atomic>

@@ -12,7 +12,6 @@
 #include "nn/batch.h"
 #include "nn/infer_kernels.h"
 #include "nn/ops.h"
-#include "nn/plan.h"
 #include "nn/vec_math.h"
 
 namespace lead::core {
@@ -792,62 +791,6 @@ nn::Variable HierarchicalAutoencoder::EncodeCandidateBatch(
   LEAD_CHECK(!items.empty());
   return options_.hierarchical ? ForwardBatchHierarchical(items, nullptr)
                                : ForwardBatchFlat(items, nullptr);
-}
-
-nn::Matrix HierarchicalAutoencoder::EncodeCandidatesPlanned(
-    const ProcessedTrajectory& pt, nn::PlanCache* cache) const {
-  LEAD_CHECK(cache != nullptr);
-  LEAD_CHECK(!pt.candidates.empty());
-  nn::NoGradGuard no_grad;
-  // The key pins everything that shapes the recorded op graph besides the
-  // feature values themselves: the stay/move segment ranges (they become
-  // PackRows row lists) and the candidate set (it drives the bucketing).
-  std::string key = nn::PlanKeyRoot("encode", this);
-  nn::AppendKeyInt(&key, options_.hierarchical ? 1 : 0);
-  nn::AppendKeyInt(&key, pt.features.rows());
-  nn::AppendKeyInt(&key, pt.features.cols());
-  const traj::Segmentation& seg = pt.segmentation;
-  nn::AppendKeyInt(&key, seg.num_stays());
-  for (const traj::StayPoint& sp : seg.stays) {
-    nn::AppendKeyInt(&key, sp.range.begin);
-    nn::AppendKeyInt(&key, sp.range.end);
-  }
-  for (const traj::MoveSegment& move : seg.moves) {
-    nn::AppendKeyInt(&key, move.has_points ? 1 : 0);
-    nn::AppendKeyInt(&key, move.has_points ? move.range.begin : 0);
-    nn::AppendKeyInt(&key, move.has_points ? move.range.end : 0);
-  }
-  nn::AppendKeyInt(&key, static_cast<int64_t>(pt.candidates.size()));
-  for (const traj::Candidate& c : pt.candidates) {
-    nn::AppendKeyInt(&key, c.start_sp);
-    nn::AppendKeyInt(&key, c.end_sp);
-  }
-
-  auto eager_items = [&pt]() {
-    std::vector<CandidateBatchItem> items;
-    items.reserve(pt.candidates.size());
-    for (const traj::Candidate& c : pt.candidates) {
-      items.push_back({&pt, c});
-    }
-    return items;
-  };
-  bool was_hit = false;
-  nn::Matrix recorded;
-  const std::shared_ptr<const nn::PlanCache::Entry> entry = cache->GetOrRecord(
-      key,
-      [&](std::vector<int>* /*meta*/) -> nn::Variable {
-        nn::PlanRecorder::Active()->RegisterInputMatrix(&pt.features);
-        return EncodeCandidateBatch(eager_items());
-      },
-      &recorded, &was_hit);
-  if (entry == nullptr) {
-    // Recording failed for this signature (negative-cached): eager path.
-    return EncodeCandidateBatch(eager_items()).value();
-  }
-  if (!was_hit) return recorded;
-  nn::Matrix out;
-  entry->plan->Execute({&pt.features}, &out);
-  return out;
 }
 
 nn::Variable HierarchicalAutoencoder::ReconstructionLossBatch(

@@ -26,10 +26,6 @@
 #include "nn/lstm.h"
 #include "nn/module.h"
 
-namespace lead::nn {
-class PlanCache;
-}  // namespace lead::nn
-
 namespace lead::core {
 
 struct AutoencoderOptions {
@@ -169,15 +165,6 @@ class HierarchicalAutoencoder : public nn::Module {
   // true [B x d] mini-batches.
   nn::Variable EncodeCandidateBatch(
       const std::vector<CandidateBatchItem>& items) const;
-
-  // Plan-compiled all-candidate encoding (inference only): looks up or
-  // records a compiled execution plan (nn/plan.h) keyed on this module
-  // and the trajectory's full shape signature (segment ranges and
-  // candidate set), then replays it against pt.features. Bit-identical to
-  // EncodeCandidateBatch over all candidates; falls back to the eager
-  // batch path when the pass cannot be compiled.
-  nn::Matrix EncodeCandidatesPlanned(const ProcessedTrajectory& pt,
-                                     nn::PlanCache* cache) const;
 
   // Mean of the per-candidate reconstruction losses over the batch
   // ([1 x 1]). Matches the mean of per-item ReconstructionLoss values up

@@ -108,8 +108,7 @@ std::vector<nn::Variable> StackedBiLstmDetector::ScoreGrouped(
     const std::vector<GroupedItem>& items,
     const BucketSchedule& schedule) const {
   // Materialize each item's subgroup members contiguously; spans below
-  // view these matrices, so a plan recording resolves them to the
-  // gathers' output slots.
+  // view these matrices.
   std::vector<nn::Variable> grouped;
   grouped.reserve(items.size());
   std::vector<nn::SeqView> views;

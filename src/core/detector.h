@@ -54,8 +54,8 @@ inline constexpr int kFastFuseMaxPadding = 16;
 // Gather layout of one detector pass over a trajectory's candidate
 // c-vecs: `member_rows` lists each grouped row's forward flatten index in
 // subgroup-concatenation order, `lengths` the subgroup sizes. The layout
-// depends only on (num_stays, direction), so it doubles as the cached
-// metadata of a compiled scoring plan (nn/plan.h).
+// depends only on (num_stays, direction); it doubles as the merge map
+// from a pass's output columns back to candidates.
 struct GroupScoringLayout {
   std::vector<int> member_rows;
   std::vector<int> lengths;
@@ -109,10 +109,7 @@ class StackedBiLstmDetector : public nn::Module {
   // global softmax. Element k of the result is item k's [1 x sum(T_g)]
   // distribution, whose column i is the probability of the candidate at
   // layout->member_rows[i]. A parallel schedule whose loop skipped
-  // buckets (cancellation) yields an empty result. Under the default
-  // serial, unfused schedule a one-item pass is one recordable op graph,
-  // so it can be compiled into an execution plan (nn/plan.h) keyed on the
-  // layout.
+  // buckets (cancellation) yields an empty result.
   std::vector<nn::Variable> ScoreGrouped(
       const std::vector<GroupedItem>& items,
       const BucketSchedule& schedule = {}) const;

@@ -150,7 +150,6 @@ LeadModel::LeadModel(const LeadOptions& options) : options_(options) {
     mlp_scorer_ =
         std::make_unique<MlpScorer>(options_.autoencoder.cvec_dims(), &rng);
   }
-  plan_cache_ = std::make_unique<nn::PlanCache>();
 }
 
 Status LeadModel::Prepare(const std::vector<LabeledRawTrajectory>& labeled,
@@ -820,10 +819,6 @@ nn::Matrix LeadModel::EncodeCandidates(const ProcessedTrajectory& pt) const {
   obs::ScopedSpan span(obs::kCatInfer, "encode_candidates");
   span.Arg("candidates", static_cast<double>(pt.candidates.size()));
   nn::NoGradGuard no_grad;
-  if (options_.detect.exec_mode == ExecMode::kPlan && plan_cache_ != nullptr &&
-      !pt.candidates.empty()) {
-    return autoencoder_->EncodeCandidatesPlanned(pt, plan_cache_.get());
-  }
   // The encode-only batch path compresses each shared segment once, the
   // batched analogue of the retired EncodeSegments sharing.
   return autoencoder_->EncodeCandidateBatch(CandidateItems({&pt})).value();
@@ -860,81 +855,27 @@ Status LeadModel::ScoreBatch(
   nn::NoGradGuard no_grad;
   const ExecStrategy strategy = options_.detect.strategy;
   const int threads = ResolveThreads(options_.detect.threads);
-  const bool planned =
-      options_.detect.exec_mode == ExecMode::kPlan && plan_cache_ != nullptr;
 
-  // Encode. Plan mode replays each item's cached encode plan, one matrix
-  // per item. Eager mode encodes every candidate of the window in one
-  // cross-trajectory batch, item r from row first_row[r] on.
-  std::vector<nn::Variable> encoded;
+  // Encode every candidate of the window in one cross-trajectory batch,
+  // item r from row first_row[r] on.
+  nn::Variable encoded;
   std::vector<int> first_row(num_items, 0);
-  if (planned) {
-    for (const ProcessedTrajectory* pt : items) {
-      encoded.push_back(nn::Variable::Constant(EncodeCandidates(*pt)));
-    }
-  } else {
+  {
     obs::ScopedSpan encode_span(obs::kCatInfer, "encode_candidates");
     encode_span.Arg("candidates", static_cast<double>(total_candidates));
-    encoded.push_back(
-        autoencoder_->EncodeCandidateBatch(CandidateItems(items)));
+    encoded = autoencoder_->EncodeCandidateBatch(CandidateItems(items));
     for (size_t r = 1; r < num_items; ++r) {
       first_row[r] =
           first_row[r - 1] + static_cast<int>(items[r - 1]->candidates.size());
     }
   }
-  const auto source = [&](size_t r) {
-    return encoded.size() == 1 ? size_t{0} : r;
-  };
   LEAD_RETURN_IF_ERROR(PollCancel("detect.encode"));
 
   std::vector<std::vector<float>> merged(num_items);
   for (size_t r = 0; r < num_items; ++r) {
     merged[r].assign(items[r]->candidates.size(), 0.0f);
   }
-  // Adds one direction's distribution to item r: column i belongs to the
-  // candidate at flat index rows[i].
-  const auto merge = [&](size_t r, const std::vector<int>& rows,
-                         const nn::Matrix& probs) {
-    LEAD_CHECK_EQ(probs.cols(), static_cast<int>(rows.size()));
-    for (size_t i = 0; i < rows.size(); ++i) {
-      merged[r][static_cast<size_t>(rows[i])] +=
-          probs.at(0, static_cast<int>(i));
-    }
-  };
-  // Plan mode: replays (or records) item r's compiled scoring pass for
-  // one detector direction. The cached layout doubles as the merge map,
-  // so a hit also skips re-deriving the subgroup packing. Returns false
-  // when no plan exists for the signature; the item is then scored by
-  // the shared pass below.
-  const auto score_planned = [&](const StackedBiLstmDetector& detector,
-                                 bool forward, size_t r) -> bool {
-    const nn::Matrix& cvecs = encoded[r].value();
-    const int n = items[r]->num_stays();
-    std::string key = nn::PlanKeyRoot("det_groups", &detector);
-    nn::AppendKeyInt(&key, forward ? 1 : 0);
-    nn::AppendKeyInt(&key, n);
-    nn::AppendKeyInt(&key, cvecs.rows());
-    nn::AppendKeyInt(&key, cvecs.cols());
-    bool was_hit = false;
-    nn::Matrix probs;
-    const std::shared_ptr<const nn::PlanCache::Entry> entry =
-        plan_cache_->GetOrRecord(
-            key,
-            [&](std::vector<int>* meta) -> nn::Variable {
-              const GroupScoringLayout layout =
-                  BuildGroupScoringLayout(n, forward);
-              *meta = layout.member_rows;
-              const nn::Variable cv =
-                  nn::PlanRecorder::Active()->MakeInput(cvecs);
-              return detector.ScoreGrouped({{cv, 0, &layout}})[0];
-            },
-            &probs, &was_hit);
-    if (entry == nullptr) return false;
-    if (was_hit) entry->plan->Execute({&cvecs}, &probs);
-    merge(r, entry->meta, probs);
-    return true;
-  };
-  // The shared pass runs its buckets on the strategy's parallel loop;
+  // The scoring pass runs its buckets on the strategy's parallel loop;
   // fast mode also fuses small buckets across lengths.
   BucketSchedule schedule;
   schedule.fuse = strategy == ExecStrategy::kFast;
@@ -952,38 +893,38 @@ Status LeadModel::ScoreBatch(
       if (detector == nullptr) continue;
       LEAD_RETURN_IF_ERROR(
           PollCancel(forward ? "detect.forward" : "detect.backward"));
-      // Every item without a plan joins one bucketed pass.
+      // Every item joins one bucketed pass.
       std::vector<GroupScoringLayout> layouts(num_items);
       std::vector<GroupedItem> pass;
-      std::vector<size_t> pass_item;
+      pass.reserve(num_items);
       for (size_t r = 0; r < num_items; ++r) {
-        if (planned && score_planned(*detector, forward, r)) continue;
         layouts[r] = BuildGroupScoringLayout(items[r]->num_stays(), forward);
-        pass.push_back({encoded[source(r)], first_row[r], &layouts[r]});
-        pass_item.push_back(r);
+        pass.push_back({encoded, first_row[r], &layouts[r]});
       }
-      if (pass.empty()) continue;
       const std::vector<nn::Variable> probs =
           detector->ScoreGrouped(pass, schedule);
       // Cancelled lanes skip buckets; each item's softmax couples all its
       // subgroups, so there is no partial answer — unwind.
       LEAD_RETURN_IF_ERROR(PollCancel("detect.score"));
       LEAD_CHECK_EQ(probs.size(), pass.size());
-      for (size_t k = 0; k < pass.size(); ++k) {
-        merge(pass_item[k], layouts[pass_item[k]].member_rows,
-              probs[k].value());
+      // Adds this direction's distribution to each item: column i belongs
+      // to the candidate at flat index member_rows[i].
+      for (size_t r = 0; r < num_items; ++r) {
+        const std::vector<int>& rows = layouts[r].member_rows;
+        const nn::Matrix& p = probs[r].value();
+        LEAD_CHECK_EQ(p.cols(), static_cast<int>(rows.size()));
+        for (size_t i = 0; i < rows.size(); ++i) {
+          merged[r][static_cast<size_t>(rows[i])] +=
+              p.at(0, static_cast<int>(i));
+        }
       }
     }
   } else {
     // LEAD-NoGro: independent per-candidate probabilities, one MLP pass
-    // per encoded matrix.
-    std::vector<nn::Variable> probs;
-    probs.reserve(encoded.size());
-    for (const nn::Variable& cvecs : encoded) {
-      probs.push_back(mlp_scorer_->Forward(cvecs));
-    }
+    // over the encoded window.
+    const nn::Variable probs = mlp_scorer_->Forward(encoded);
+    const nn::Matrix& p = probs.value();
     for (size_t r = 0; r < num_items; ++r) {
-      const nn::Matrix& p = probs[source(r)].value();
       for (size_t i = 0; i < merged[r].size(); ++i) {
         merged[r][i] = p.at(first_row[r] + static_cast<int>(i), 0);
       }
@@ -1360,7 +1301,6 @@ Status LeadModel::TryResumeFromCheckpoint(const std::string& path,
   forward_detector_ = std::move(scratch.forward_detector_);
   backward_detector_ = std::move(scratch.backward_detector_);
   mlp_scorer_ = std::move(scratch.mlp_scorer_);
-  if (plan_cache_ != nullptr) plan_cache_->Clear();  // module pointers changed
   *stage = static_cast<int>(raw_stage);
   *next_epoch = static_cast<int>(raw_epoch);
   return Status::Ok();
@@ -1398,7 +1338,6 @@ Status LeadModel::CopyEncoderFrom(const LeadModel& other) {
   LEAD_RETURN_IF_ERROR(nn::SaveParameters(*other.autoencoder_, buffer));
   LEAD_RETURN_IF_ERROR(nn::LoadParameters(autoencoder_.get(), buffer));
   normalizer_ = other.normalizer_;
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   return Status::Ok();
 }
 
@@ -1420,7 +1359,6 @@ Status LeadModel::Load(const std::string& path) {
   forward_detector_ = std::move(scratch.forward_detector_);
   backward_detector_ = std::move(scratch.backward_detector_);
   mlp_scorer_ = std::move(scratch.mlp_scorer_);
-  if (plan_cache_ != nullptr) plan_cache_->Clear();  // module pointers changed
   return Status::Ok();
 }
 

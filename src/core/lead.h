@@ -32,19 +32,8 @@
 #include "core/pipeline.h"
 #include "core/train_loop.h"
 #include "nn/adam.h"
-#include "nn/plan.h"
 
 namespace lead::core {
-
-// Inference execution modes (see DESIGN.md §"Execution plans and memory
-// planning"): kEager walks the autograd tape per call; kPlan compiles one
-// eager pass per (module, shape-signature) into a static schedule with an
-// arena-planned memory layout and replays it allocation-free. Both modes
-// are bit-identical; kEager remains the parity oracle.
-enum class ExecMode {
-  kEager,
-  kPlan,
-};
 
 // One supervised sample: a raw trajectory plus its archived loaded
 // trajectory, expressed as the (loading, unloading) stay-point pair the
@@ -116,20 +105,13 @@ struct DetectOptions {
   // Worker lanes for Preprocess and the bucketed batch scoring inside
   // Detect/DetectProcessed. Same semantics as TrainOptions::threads.
   int threads = 0;
-  // kPlan caches a compiled execution plan per encode/score shape
-  // signature and replays it with zero steady-state tensor allocations;
-  // results are bit-identical to kEager (which stays the default and the
-  // parity oracle). Unsupported shapes fall back to eager per signature.
-  ExecMode exec_mode = ExecMode::kEager;
-  // Orthogonal to exec_mode: kDeterministic (default) is the bit-parity
-  // oracle. kFast trades schedule determinism for throughput — dynamic
-  // work-stealing loops, fused cross-length score batches
-  // (core/batching.h FuseSmallBuckets), and a DetectStream that overlaps
-  // provider reads with preprocessing and scores the whole batch in one
-  // cross-trajectory window. Decisions (argmax candidates) are asserted
-  // equivalent and probabilities agree within a documented FP tolerance
-  // (tests/differential.h). With exec_mode = kPlan every item's encode
-  // and score replay their cached plans under either strategy.
+  // kDeterministic (default) is the bit-parity oracle. kFast trades
+  // schedule determinism for throughput — dynamic work-stealing loops,
+  // fused cross-length score batches (core/batching.h FuseSmallBuckets),
+  // and a DetectStream that overlaps provider reads with preprocessing
+  // and scores the whole batch in one cross-trajectory window. Decisions
+  // (argmax candidates) are asserted equivalent and probabilities agree
+  // within a documented FP tolerance (tests/differential.h).
   ExecStrategy strategy = ExecStrategy::kDeterministic;
   // Observability sinks; same semantics as the TrainOptions fields. The
   // library does not scope a collection session per Detect() call (they
@@ -346,10 +328,6 @@ class LeadModel {
   std::unique_ptr<StackedBiLstmDetector> forward_detector_;
   std::unique_ptr<StackedBiLstmDetector> backward_detector_;
   std::unique_ptr<MlpScorer> mlp_scorer_;
-  // Compiled-plan cache for ExecMode::kPlan (mutable: Detect is const and
-  // caching is semantically transparent). Cleared whenever the module
-  // objects are replaced, since plan keys pin module identities.
-  mutable std::unique_ptr<nn::PlanCache> plan_cache_;
 };
 
 }  // namespace lead::core

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "nn/contract.h"
 #include "nn/ops.h"
-#include "nn/plan.h"
 #include "obs/trace.h"
 
 namespace lead::nn {
@@ -90,9 +89,6 @@ StepBatch PackViews(const std::vector<SeqView>& views) {
       out.masks.push_back(Variable::Constant(std::move(mask)));
       out.inv_masks.push_back(Variable::Constant(std::move(inv)));
     }
-  }
-  if (plan_internal::RecorderActive()) {
-    plan_internal::MaybeRecordPackedBatch(views, out);
   }
   return out;
 }

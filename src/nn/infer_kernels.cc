@@ -11,15 +11,12 @@
 #include "common/check.h"
 #include "nn/contract.h"
 #include "nn/matrix.h"
-#include "nn/plan.h"
 #include "nn/variable.h"
 #include "nn/vec_math.h"
 
 namespace lead::nn::internal {
 
-bool FusedInferenceActive() {
-  return NoGradEnabled() && !plan_internal::RecorderActive();
-}
+bool FusedInferenceActive() { return NoGradEnabled(); }
 
 namespace {
 

@@ -1,18 +1,16 @@
 // Fused no-grad inference kernels (DESIGN.md, "No-grad inference
 // kernels").
 //
-// Under NoGradGuard with no PlanRecorder active, the LSTM recurrences of
-// the autoencoder and the detectors run here instead of op by op: one
-// GEMM per step into a reused buffer plus one epilogue pass, with every
-// intermediate in thread-local scratch, so a steady-state call performs
-// no tensor allocation. The epilogues reproduce the eager op sequence
-// (ops.cc / op_kernels.cc) element by element -- same operands, same
-// association, the same tanh / sigmoid kernels (vec_math.h) -- and this
-// file is compiled with -ffp-contract=off so no multiply-add pair can be
-// contracted. The
+// Under NoGradGuard, the LSTM recurrences of the autoencoder and the
+// detectors run here instead of op by op: one GEMM per step into a reused
+// buffer plus one epilogue pass, with every intermediate in thread-local
+// scratch, so a steady-state call performs no tensor allocation. The
+// epilogues reproduce the eager op sequence (ops.cc / op_kernels.cc)
+// element by element -- same operands, same association, the same tanh /
+// sigmoid kernels (vec_math.h) -- and this file is compiled with
+// -ffp-contract=off so no multiply-add pair can be contracted. The
 // results are therefore bit-identical to the op-by-op path, which stays
-// the training tape, the plan-recording path and the test oracle
-// (tests/infer_kernel_test.cc).
+// the training tape and the test oracle (tests/infer_kernel_test.cc).
 #pragma once
 
 #include <cstddef>
@@ -22,7 +20,7 @@
 namespace lead::nn::internal {
 
 // True when the calling thread should take the fused kernels: gradients
-// are off and no plan recorder is observing the eager ops.
+// are off.
 bool FusedInferenceActive();
 
 // LIFO lease of a thread-local float buffer of at least `floats`

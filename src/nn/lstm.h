@@ -67,7 +67,7 @@ class LstmCell : public Module {
   // Bit-identical to ForwardSequenceSteps / ForwardSequenceStepsReversed
   // over the same rows; a prefix-shared layout (step_rows) must run
   // forward. Every public forward above takes this path under
-  // NoGradGuard when no plan is being recorded.
+  // NoGradGuard.
   void InferStacked(const StackedLayout& layout, const float* x,
                     bool reversed, float* out, int out_stride) const;
 

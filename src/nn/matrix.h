@@ -15,10 +15,10 @@ namespace lead::nn {
 
 namespace internal {
 // Thread-local count of tensor-storage acquisitions: Matrix constructions
-// and copies that take (or would take) a fresh heap block. plan.cc turns
-// deltas into the nn.plan.allocs metric and bench/fig8_inference_time.cc
-// reports per-detect totals, so the "allocation-free steady state" claim
-// is measured rather than asserted. Defined inline with a constant
+// and copies that take (or would take) a fresh heap block.
+// bench/fig8_inference_time.cc reports per-detect totals and
+// tests/infer_kernel_test.cc bounds them, so the steady-state allocation
+// count is measured rather than asserted. Defined inline with a constant
 // initializer: an `extern thread_local` read from another translation
 // unit goes through a TLS wrapper that UBSan flags as a null load.
 inline thread_local int64_t tensor_allocs = 0;
@@ -136,8 +136,8 @@ void MatMulTransposeBAccumulate(const Matrix& a, const Matrix& b,
                                 Matrix* out);
 
 // Raw row-major core of MatMulAccumulate, shared by the Matrix wrapper
-// above and the registered MatMul plan kernel (op_kernels.cc), which
-// operates on arena-backed views rather than Matrix storage. Runs the
+// above and the MatMul op kernel (op_kernels.cc), which operates on raw
+// views rather than Matrix storage. Runs the
 // identical register-blocked loop, so results are bit-identical to the
 // wrapper. Shapes: a [m x k], b [k x n], out [m x n]; no zero-fill.
 void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
@@ -151,7 +151,7 @@ void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
 void GemmOverwriteRaw(const float* a, const float* b, float* out, int m,
                       int k, int n);
 
-// Runtime-dispatched elementwise loops used by the registered Add / Mul /
+// Runtime-dispatched elementwise loops used by the Add / Mul /
 // ScaleRows kernels (op_kernels.cc). Pure lane operations: every vector
 // width produces the scalar loop's bits, so dispatch cannot affect
 // parity. out[i] = a[i] + b[i].

@@ -1,24 +1,18 @@
-// Registered forward kernels for every recordable op (see op_registry.h).
+// Forward kernels of the autograd ops (see op_kernels.h).
 //
-// Each kernel mirrors the loop structure of the corresponding eager op in
-// ops.cc exactly — same traversal order, same accumulation order, same
-// clamps — so a plan replay is bit-identical to the eager forward pass.
 // Kernels read TensorViews and fully overwrite their output buffer; they
 // never allocate and never construct tensors (enforced by the
 // matrix-in-kernel lint rule).
+#include "nn/op_kernels.h"
+
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 
 #include "nn/matrix.h"
-#include "nn/op_registry.h"
 #include "nn/vec_math.h"
 
 namespace lead::nn {
-
-namespace internal {
-int OpKernelsAnchor() { return 0; }
-}  // namespace internal
 
 namespace {
 
@@ -32,6 +26,10 @@ inline float* OutRow(const OpCall& call, int r) {
 inline int OutSize(const OpCall& call) {
   return call.out_rows * call.out_cols;
 }
+
+}  // namespace
+
+namespace internal {
 
 // out = a + b; attrs.i0 != 0 means b is a [1 x n] row broadcast over rows.
 void AddKernel(const OpCall& call) {
@@ -217,24 +215,6 @@ void GatherRowsKernel(const OpCall& call) {
   }
 }
 
-// GatherRows with padding: a source row of -1 writes a zero row. This is
-// the recorded form of PackViews' span copies (batch.cc), where padded
-// steps keep the zero initialization of the step matrix.
-void PackRowsKernel(const OpCall& call) {
-  const TensorView& a = call.in[0];
-  const std::vector<int>& rows = call.attrs->ints;
-  for (int i = 0; i < call.out_rows; ++i) {
-    float* dst = OutRow(call, i);
-    const int src_row = rows[static_cast<size_t>(i)];
-    if (src_row < 0) {
-      for (int c = 0; c < call.out_cols; ++c) dst[c] = 0.0f;
-    } else {
-      const float* src = RowOf(a, src_row);
-      std::copy(src, src + call.out_cols, dst);
-    }
-  }
-}
-
 // Scalar mean of squared differences, same accumulation order as eager.
 void MseLossKernel(const OpCall& call) {
   const TensorView& p = call.in[0];
@@ -264,31 +244,6 @@ void KlDivergenceKernel(const OpCall& call) {
   call.out[0] = total;
 }
 
-LEAD_REGISTER_OP(Add, AddKernel);
-LEAD_REGISTER_OP(Sub, SubKernel);
-LEAD_REGISTER_OP(Mul, MulKernel);
-LEAD_REGISTER_OP(ScalarMul, ScalarMulKernel);
-LEAD_REGISTER_OP(AddScalar, AddScalarKernel);
-LEAD_REGISTER_OP(MatMul, MatMulKernel);
-LEAD_REGISTER_OP(Transpose, TransposeKernel);
-LEAD_REGISTER_OP(Tanh, TanhKernel);
-LEAD_REGISTER_OP(Sigmoid, SigmoidKernel);
-LEAD_REGISTER_OP(Relu, ReluKernel);
-LEAD_REGISTER_OP(Log, LogKernel);
-LEAD_REGISTER_OP(SoftmaxRows, SoftmaxRowsKernel);
-LEAD_REGISTER_OP(SliceCols, SliceColsKernel);
-LEAD_REGISTER_OP(SliceRows, SliceRowsKernel);
-LEAD_REGISTER_OP(ConcatRows, ConcatRowsKernel);
-LEAD_REGISTER_OP(ConcatCols, ConcatColsKernel);
-LEAD_REGISTER_OP(ReverseRows, ReverseRowsKernel);
-LEAD_REGISTER_OP(Sum, SumKernel);
-LEAD_REGISTER_OP(RowSum, RowSumKernel);
-LEAD_REGISTER_OP(ScaleRows, ScaleRowsKernel);
-LEAD_REGISTER_OP(GatherRows, GatherRowsKernel);
-LEAD_REGISTER_OP(PackRows, PackRowsKernel);
-LEAD_REGISTER_OP(MseLoss, MseLossKernel);
-LEAD_REGISTER_OP(KlDivergence, KlDivergenceKernel);
-
-}  // namespace
+}  // namespace internal
 
 }  // namespace lead::nn

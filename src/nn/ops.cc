@@ -7,14 +7,10 @@
 
 #include "common/check.h"
 #include "nn/contract.h"
-#include "nn/op_registry.h"
-#include "nn/plan.h"
+#include "nn/op_kernels.h"
 
-// Every op here follows one shape: compute the forward value through the
-// registered kernel (the same kernel a compiled plan replays, so eager
-// and plan modes are bit-identical by construction), install the backward
-// closure on the tape exactly as before, then hand the application to the
-// plan recorder when one is active on this thread (plan.h).
+// Every op here follows one shape: compute the forward value through its
+// kernel (op_kernels.h), then install the backward closure on the tape.
 namespace lead::nn {
 namespace {
 
@@ -64,14 +60,13 @@ Variable Add(const Variable& a, const Variable& b) {
                     a.value(), b.value());
   LEAD_CHECK(broadcast ||
              (a.rows() == b.rows() && a.cols() == b.cols()));
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Add");
   OpAttrs attrs;
   attrs.i0 = broadcast ? 1 : 0;
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a), View(b)}, &out, attrs);
+  RunKernel(internal::AddKernel, {View(a), View(b)}, &out, attrs);
   Node* an = a.node();
   Node* bn = b.node();
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {a, b}, [an, bn, broadcast](const Matrix& g) {
         AccumulateGrad(an, g);
         if (!bn->requires_grad) return;
@@ -87,19 +82,16 @@ Variable Add(const Variable& a, const Variable& b) {
         }
       },
       "Add");
-  plan_internal::MaybeRecord("Add", {&a, &b}, result, attrs);
-  return result;
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
   contract::RequireSameShape("Sub", a.value(), b.value());
   LEAD_CHECK(a.value().SameShape(b.value()));
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Sub");
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a), View(b)}, &out, kNoAttrs);
+  RunKernel(internal::SubKernel, {View(a), View(b)}, &out, kNoAttrs);
   Node* an = a.node();
   Node* bn = b.node();
-  Variable result = Variable::FromOp(std::move(out), {a, b},
+  return Variable::FromOp(std::move(out), {a, b},
                           [an, bn](const Matrix& g) {
                             AccumulateGrad(an, g);
                             if (!bn->requires_grad) return;
@@ -111,19 +103,16 @@ Variable Sub(const Variable& a, const Variable& b) {
                             }
                           },
       "Sub");
-  plan_internal::MaybeRecord("Sub", {&a, &b}, result, kNoAttrs);
-  return result;
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
   contract::RequireSameShape("Mul", a.value(), b.value());
   LEAD_CHECK(a.value().SameShape(b.value()));
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Mul");
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a), View(b)}, &out, kNoAttrs);
+  RunKernel(internal::MulKernel, {View(a), View(b)}, &out, kNoAttrs);
   Node* an = a.node();
   Node* bn = b.node();
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {a, b}, [an, bn](const Matrix& g) {
         if (an->requires_grad) {
           an->EnsureGrad();
@@ -141,19 +130,15 @@ Variable Mul(const Variable& a, const Variable& b) {
         }
       },
       "Mul");
-  plan_internal::MaybeRecord("Mul", {&a, &b}, result, kNoAttrs);
-  return result;
 }
 
 Variable ScalarMul(const Variable& a, float s) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("ScalarMul");
   OpAttrs attrs;
   attrs.f0 = s;
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a)}, &out, attrs);
+  RunKernel(internal::ScalarMulKernel, {View(a)}, &out, attrs);
   Node* an = a.node();
-  Variable result =
-      Variable::FromOp(std::move(out), {a}, [an, s](const Matrix& g) {
+  return Variable::FromOp(std::move(out), {a}, [an, s](const Matrix& g) {
     if (!an->requires_grad) return;
     an->EnsureGrad();
     float* ag = an->grad.data();
@@ -161,19 +146,16 @@ Variable ScalarMul(const Variable& a, float s) {
     for (int i = 0; i < g.size(); ++i) ag[i] += gd[i] * s;
   },
       "ScalarMul");
-  plan_internal::MaybeRecord("ScalarMul", {&a}, result, attrs);
-  return result;
 }
 
 Variable MatMul(const Variable& a, const Variable& b) {
   contract::RequireInner("MatMul", a.value(), b.value());
   LEAD_CHECK_EQ(a.cols(), b.rows());
-  static const OpKernel kernel = OpRegistry::Get().MustFind("MatMul");
   Matrix out(a.rows(), b.cols());
-  RunKernel(kernel, {View(a), View(b)}, &out, kNoAttrs);
+  RunKernel(internal::MatMulKernel, {View(a), View(b)}, &out, kNoAttrs);
   Node* an = a.node();
   Node* bn = b.node();
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {a, b}, [an, bn](const Matrix& g) {
         if (an->requires_grad) {
           an->EnsureGrad();
@@ -185,17 +167,13 @@ Variable MatMul(const Variable& a, const Variable& b) {
         }
       },
       "MatMul");
-  plan_internal::MaybeRecord("MatMul", {&a, &b}, result, kNoAttrs);
-  return result;
 }
 
 Variable Transpose(const Variable& a) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Transpose");
   Matrix out(a.cols(), a.rows());
-  RunKernel(kernel, {View(a)}, &out, kNoAttrs);
+  RunKernel(internal::TransposeKernel, {View(a)}, &out, kNoAttrs);
   Node* an = a.node();
-  Variable result =
-      Variable::FromOp(std::move(out), {a}, [an](const Matrix& g) {
+  return Variable::FromOp(std::move(out), {a}, [an](const Matrix& g) {
     if (!an->requires_grad) return;
     an->EnsureGrad();
     for (int r = 0; r < g.rows(); ++r) {
@@ -205,8 +183,6 @@ Variable Transpose(const Variable& a) {
     }
   },
       "Transpose");
-  plan_internal::MaybeRecord("Transpose", {&a}, result, kNoAttrs);
-  return result;
 }
 
 namespace {
@@ -220,7 +196,7 @@ Variable ElementwiseOp(const char* name, OpKernel kernel, const Variable& a,
   // The derivative is computed from the op's output value, so the closure
   // snapshots the output matrix.
   Matrix out_copy = out;
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {a},
       [an, deriv, out_copy = std::move(out_copy)](const Matrix& g) {
         if (!an->requires_grad) return;
@@ -233,36 +209,30 @@ Variable ElementwiseOp(const char* name, OpKernel kernel, const Variable& a,
         }
       },
       name);
-  plan_internal::MaybeRecord(name, {&a}, result, kNoAttrs);
-  return result;
 }
 
 }  // namespace
 
 Variable Tanh(const Variable& a) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Tanh");
-  return ElementwiseOp("Tanh", kernel, a,
+  return ElementwiseOp("Tanh", internal::TanhKernel, a,
                        [](float y) { return 1.0f - y * y; });
 }
 
 Variable Sigmoid(const Variable& a) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Sigmoid");
-  return ElementwiseOp("Sigmoid", kernel, a,
+  return ElementwiseOp("Sigmoid", internal::SigmoidKernel, a,
                        [](float y) { return y * (1.0f - y); });
 }
 
 Variable Relu(const Variable& a) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Relu");
-  return ElementwiseOp("Relu", kernel, a,
+  return ElementwiseOp("Relu", internal::ReluKernel, a,
                        [](float y) { return y > 0.0f ? 1.0f : 0.0f; });
 }
 
 Variable Log(const Variable& a, float eps) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Log");
   OpAttrs attrs;
   attrs.f0 = eps;
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a)}, &out, attrs);
+  RunKernel(internal::LogKernel, {View(a)}, &out, attrs);
   // Derivative needs the (clamped) input, not the output.
   Matrix clamped_in = a.value();
   float* cd = clamped_in.data();
@@ -270,7 +240,7 @@ Variable Log(const Variable& a, float eps) {
     cd[i] = std::max(cd[i], eps);
   }
   Node* an = a.node();
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {a},
       [an, clamped_in = std::move(clamped_in)](const Matrix& g) {
         if (!an->requires_grad) return;
@@ -281,17 +251,14 @@ Variable Log(const Variable& a, float eps) {
         for (int i = 0; i < g.size(); ++i) ag[i] += gd[i] / cv[i];
       },
       "Log");
-  plan_internal::MaybeRecord("Log", {&a}, result, attrs);
-  return result;
 }
 
 Variable SoftmaxRows(const Variable& a) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("SoftmaxRows");
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a)}, &out, kNoAttrs);
+  RunKernel(internal::SoftmaxRowsKernel, {View(a)}, &out, kNoAttrs);
   Node* an = a.node();
   Matrix out_copy = out;
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {a},
       [an, out_copy = std::move(out_copy)](const Matrix& g) {
         if (!an->requires_grad) return;
@@ -308,24 +275,18 @@ Variable SoftmaxRows(const Variable& a) {
         }
       },
       "SoftmaxRows");
-  plan_internal::MaybeRecord("SoftmaxRows", {&a}, result, kNoAttrs);
-  return result;
 }
 
 Variable AddScalar(const Variable& a, float s) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("AddScalar");
   OpAttrs attrs;
   attrs.f0 = s;
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a)}, &out, attrs);
+  RunKernel(internal::AddScalarKernel, {View(a)}, &out, attrs);
   Node* an = a.node();
-  Variable result =
-      Variable::FromOp(std::move(out), {a}, [an](const Matrix& g) {
+  return Variable::FromOp(std::move(out), {a}, [an](const Matrix& g) {
     AccumulateGrad(an, g);
   },
       "AddScalar");
-  plan_internal::MaybeRecord("AddScalar", {&a}, result, attrs);
-  return result;
 }
 
 Variable SliceCols(const Variable& a, int start, int len) {
@@ -334,13 +295,12 @@ Variable SliceCols(const Variable& a, int start, int len) {
   LEAD_CHECK_GE(start, 0);
   LEAD_CHECK_GE(len, 1);
   LEAD_CHECK_LE(start + len, a.cols());
-  static const OpKernel kernel = OpRegistry::Get().MustFind("SliceCols");
   OpAttrs attrs;
   attrs.i0 = start;
   Matrix out(a.rows(), len);
-  RunKernel(kernel, {View(a)}, &out, attrs);
+  RunKernel(internal::SliceColsKernel, {View(a)}, &out, attrs);
   Node* an = a.node();
-  Variable result = Variable::FromOp(std::move(out), {a},
+  return Variable::FromOp(std::move(out), {a},
                           [an, start](const Matrix& g) {
                             if (!an->requires_grad) return;
                             an->EnsureGrad();
@@ -353,8 +313,6 @@ Variable SliceCols(const Variable& a, int start, int len) {
                             }
                           },
       "SliceCols");
-  plan_internal::MaybeRecord("SliceCols", {&a}, result, attrs);
-  return result;
 }
 
 Variable SliceRows(const Variable& a, int start, int len) {
@@ -363,13 +321,12 @@ Variable SliceRows(const Variable& a, int start, int len) {
   LEAD_CHECK_GE(start, 0);
   LEAD_CHECK_GE(len, 1);
   LEAD_CHECK_LE(start + len, a.rows());
-  static const OpKernel kernel = OpRegistry::Get().MustFind("SliceRows");
   OpAttrs attrs;
   attrs.i0 = start;
   Matrix out(len, a.cols());
-  RunKernel(kernel, {View(a)}, &out, attrs);
+  RunKernel(internal::SliceRowsKernel, {View(a)}, &out, attrs);
   Node* an = a.node();
-  Variable result = Variable::FromOp(std::move(out), {a},
+  return Variable::FromOp(std::move(out), {a},
                           [an, start](const Matrix& g) {
                             if (!an->requires_grad) return;
                             an->EnsureGrad();
@@ -382,8 +339,6 @@ Variable SliceRows(const Variable& a, int start, int len) {
                             }
                           },
       "SliceRows");
-  plan_internal::MaybeRecord("SliceRows", {&a}, result, attrs);
-  return result;
 }
 
 Variable ConcatRows(const std::vector<Variable>& parts) {
@@ -397,13 +352,12 @@ Variable ConcatRows(const std::vector<Variable>& parts) {
     LEAD_CHECK_EQ(p.cols(), cols);
     rows += p.rows();
   }
-  static const OpKernel kernel = OpRegistry::Get().MustFind("ConcatRows");
   std::vector<TensorView> views;
   views.reserve(parts.size());
   for (const Variable& p : parts) views.push_back(View(p));
   Matrix out(rows, cols);
-  RunKernel(kernel, views.data(), static_cast<int>(views.size()), &out,
-            kNoAttrs);
+  RunKernel(internal::ConcatRowsKernel, views.data(),
+            static_cast<int>(views.size()), &out, kNoAttrs);
   std::vector<Node*> nodes;
   std::vector<int> offsets;
   std::vector<int> sizes;
@@ -415,7 +369,7 @@ Variable ConcatRows(const std::vector<Variable>& parts) {
     sizes.push_back(p.rows());
     off += p.rows();
   }
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), parts,
       [nodes = std::move(nodes), offsets = std::move(offsets),
        sizes = std::move(sizes)](const Matrix& g) {
@@ -431,8 +385,6 @@ Variable ConcatRows(const std::vector<Variable>& parts) {
         }
       },
       "ConcatRows");
-  plan_internal::MaybeRecordMany("ConcatRows", parts, result, kNoAttrs);
-  return result;
 }
 
 Variable ConcatCols(const std::vector<Variable>& parts) {
@@ -446,13 +398,12 @@ Variable ConcatCols(const std::vector<Variable>& parts) {
     LEAD_CHECK_EQ(p.rows(), rows);
     cols += p.cols();
   }
-  static const OpKernel kernel = OpRegistry::Get().MustFind("ConcatCols");
   std::vector<TensorView> views;
   views.reserve(parts.size());
   for (const Variable& p : parts) views.push_back(View(p));
   Matrix out(rows, cols);
-  RunKernel(kernel, views.data(), static_cast<int>(views.size()), &out,
-            kNoAttrs);
+  RunKernel(internal::ConcatColsKernel, views.data(),
+            static_cast<int>(views.size()), &out, kNoAttrs);
   std::vector<Node*> nodes;
   std::vector<int> offsets;
   std::vector<int> widths;
@@ -463,7 +414,7 @@ Variable ConcatCols(const std::vector<Variable>& parts) {
     widths.push_back(p.cols());
     off += p.cols();
   }
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), parts,
       [nodes = std::move(nodes), offsets = std::move(offsets),
        widths = std::move(widths), rows](const Matrix& g) {
@@ -479,17 +430,13 @@ Variable ConcatCols(const std::vector<Variable>& parts) {
         }
       },
       "ConcatCols");
-  plan_internal::MaybeRecordMany("ConcatCols", parts, result, kNoAttrs);
-  return result;
 }
 
 Variable ReverseRows(const Variable& a) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("ReverseRows");
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a)}, &out, kNoAttrs);
+  RunKernel(internal::ReverseRowsKernel, {View(a)}, &out, kNoAttrs);
   Node* an = a.node();
-  Variable result =
-      Variable::FromOp(std::move(out), {a}, [an](const Matrix& g) {
+  return Variable::FromOp(std::move(out), {a}, [an](const Matrix& g) {
     if (!an->requires_grad) return;
     an->EnsureGrad();
     for (int r = 0; r < g.rows(); ++r) {
@@ -499,16 +446,13 @@ Variable ReverseRows(const Variable& a) {
     }
   },
       "ReverseRows");
-  plan_internal::MaybeRecord("ReverseRows", {&a}, result, kNoAttrs);
-  return result;
 }
 
 Variable Sum(const Variable& a) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("Sum");
   Matrix out(1, 1);
-  RunKernel(kernel, {View(a)}, &out, kNoAttrs);
+  RunKernel(internal::SumKernel, {View(a)}, &out, kNoAttrs);
   Node* an = a.node();
-  Variable result = Variable::FromOp(std::move(out), {a},
+  return Variable::FromOp(std::move(out), {a},
                           [an](const Matrix& g) {
                             if (!an->requires_grad) return;
                             an->EnsureGrad();
@@ -519,8 +463,6 @@ Variable Sum(const Variable& a) {
                             }
                           },
       "Sum");
-  plan_internal::MaybeRecord("Sum", {&a}, result, kNoAttrs);
-  return result;
 }
 
 Variable Mean(const Variable& a) {
@@ -529,13 +471,11 @@ Variable Mean(const Variable& a) {
 }
 
 Variable RowSum(const Variable& a) {
-  static const OpKernel kernel = OpRegistry::Get().MustFind("RowSum");
   const int n = a.cols();
   Matrix out(a.rows(), 1);
-  RunKernel(kernel, {View(a)}, &out, kNoAttrs);
+  RunKernel(internal::RowSumKernel, {View(a)}, &out, kNoAttrs);
   Node* an = a.node();
-  Variable result =
-      Variable::FromOp(std::move(out), {a}, [an, n](const Matrix& g) {
+  return Variable::FromOp(std::move(out), {a}, [an, n](const Matrix& g) {
     if (!an->requires_grad) return;
     an->EnsureGrad();
     for (int r = 0; r < g.rows(); ++r) {
@@ -545,8 +485,6 @@ Variable RowSum(const Variable& a) {
     }
   },
       "RowSum");
-  plan_internal::MaybeRecord("RowSum", {&a}, result, kNoAttrs);
-  return result;
 }
 
 Variable ScaleRows(const Variable& a, const Variable& s) {
@@ -555,12 +493,11 @@ Variable ScaleRows(const Variable& a, const Variable& s) {
                     s.value());
   LEAD_CHECK_EQ(s.rows(), a.rows());
   LEAD_CHECK_EQ(s.cols(), 1);
-  static const OpKernel kernel = OpRegistry::Get().MustFind("ScaleRows");
   Matrix out(a.rows(), a.cols());
-  RunKernel(kernel, {View(a), View(s)}, &out, kNoAttrs);
+  RunKernel(internal::ScaleRowsKernel, {View(a), View(s)}, &out, kNoAttrs);
   Node* an = a.node();
   Node* sn = s.node();
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {a, s}, [an, sn](const Matrix& g) {
         if (an->requires_grad) {
           an->EnsureGrad();
@@ -583,13 +520,10 @@ Variable ScaleRows(const Variable& a, const Variable& s) {
         }
       },
       "ScaleRows");
-  plan_internal::MaybeRecord("ScaleRows", {&a, &s}, result, kNoAttrs);
-  return result;
 }
 
 Variable GatherRows(const Variable& a, std::vector<int> rows) {
   const int n = a.cols();
-  static const OpKernel kernel = OpRegistry::Get().MustFind("GatherRows");
   OpAttrs attrs;
   attrs.ints = std::move(rows);
   for (size_t i = 0; i < attrs.ints.size(); ++i) {
@@ -599,16 +533,11 @@ Variable GatherRows(const Variable& a, std::vector<int> rows) {
     LEAD_CHECK_LT(attrs.ints[i], a.rows());
   }
   Matrix out(static_cast<int>(attrs.ints.size()), n);
-  RunKernel(kernel, {View(a)}, &out, attrs);
+  RunKernel(internal::GatherRowsKernel, {View(a)}, &out, attrs);
   Node* an = a.node();
-  // Under NoGrad the closure is discarded by FromOp, so the row list must
-  // survive in `attrs` for the recorder; with gradients enabled the
-  // recorder is necessarily inactive and the list moves into the closure.
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {a},
-      [an, rows = internal::NoGradEnabled() ? std::vector<int>()
-                                            : std::move(attrs.ints)](
-          const Matrix& g) {
+      [an, rows = std::move(attrs.ints)](const Matrix& g) {
         if (!an->requires_grad) return;
         an->EnsureGrad();
         for (size_t i = 0; i < rows.size(); ++i) {
@@ -618,8 +547,6 @@ Variable GatherRows(const Variable& a, std::vector<int> rows) {
         }
       },
       "GatherRows");
-  plan_internal::MaybeRecord("GatherRows", {&a}, result, attrs);
-  return result;
 }
 
 Variable MseLoss(const Variable& prediction, const Variable& target) {
@@ -627,13 +554,13 @@ Variable MseLoss(const Variable& prediction, const Variable& target) {
   LEAD_CHECK(prediction.value().SameShape(target.value()));
   const int n = prediction.value().size();
   LEAD_CHECK_GT(n, 0);
-  static const OpKernel kernel = OpRegistry::Get().MustFind("MseLoss");
   Matrix out(1, 1);
-  RunKernel(kernel, {View(prediction), View(target)}, &out, kNoAttrs);
+  RunKernel(internal::MseLossKernel, {View(prediction), View(target)}, &out,
+            kNoAttrs);
   Node* pn = prediction.node();
   Node* tn = target.node();
   const float inv_n = 1.0f / static_cast<float>(n);
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {prediction, target},
       [pn, tn, inv_n, n](const Matrix& g) {
         const float go = g.at(0, 0);
@@ -655,17 +582,13 @@ Variable MseLoss(const Variable& prediction, const Variable& target) {
         }
       },
       "MseLoss");
-  plan_internal::MaybeRecord("MseLoss", {&prediction, &target}, result,
-                             kNoAttrs);
-  return result;
 }
 
 Variable Dropout(const Variable& a, float p, Rng* rng) {
   LEAD_CHECK_GE(p, 0.0f);
   LEAD_CHECK_LT(p, 1.0f);
   // p == 0 exactly means dropout is disabled; any nonzero p drops. Under
-  // NoGrad (and therefore under recording) this is the identity, so plans
-  // never contain a dropout step.
+  // NoGrad this is the identity.
   if (p == 0.0f || internal::NoGradEnabled()) return a;  // lead-lint: allow(float-eq)
   const float keep_scale = 1.0f / (1.0f - p);
   Matrix mask(a.rows(), a.cols());
@@ -681,14 +604,14 @@ Variable KlDivergence(const Variable& label, const Variable& prediction,
                              prediction.value());
   LEAD_CHECK(label.value().SameShape(prediction.value()));
   const int n = label.value().size();
-  static const OpKernel kernel = OpRegistry::Get().MustFind("KlDivergence");
   OpAttrs attrs;
   attrs.f0 = eps;
   Matrix out(1, 1);
-  RunKernel(kernel, {View(label), View(prediction)}, &out, attrs);
+  RunKernel(internal::KlDivergenceKernel, {View(label), View(prediction)},
+            &out, attrs);
   Node* pn = prediction.node();
   Node* ln = label.node();
-  Variable result = Variable::FromOp(
+  return Variable::FromOp(
       std::move(out), {label, prediction},
       [pn, ln, eps, n](const Matrix& g) {
         if (!pn->requires_grad) return;
@@ -703,9 +626,6 @@ Variable KlDivergence(const Variable& label, const Variable& prediction,
         }
       },
       "KlDivergence");
-  plan_internal::MaybeRecord("KlDivergence", {&label, &prediction}, result,
-                             attrs);
-  return result;
 }
 
 }  // namespace lead::nn

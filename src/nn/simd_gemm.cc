@@ -2,7 +2,7 @@
 // with -mavx2 (see src/nn/CMakeLists.txt), and with -ffp-contract=off and
 // never -mfma: the scalar reference path rounds each product before
 // accumulating, and a fused multiply-add would change that rounding and
-// break the repo-wide bit-parity contracts (golden fixtures, plan/eager
+// break the repo-wide bit-parity contracts (golden fixtures, fused/op
 // parity). _mm256_mul_ps + _mm256_add_ps reproduce the scalar sequence
 // exactly, lane by lane.
 //

@@ -1,7 +1,7 @@
 // Runtime-dispatched, bit-exact vector tanh and sigmoid (DESIGN.md, "No-grad
 // inference kernels").
 //
-// The LSTM gate epilogues and the registered Tanh / Sigmoid op kernels spend
+// The LSTM gate epilogues and the Tanh / Sigmoid op kernels spend
 // most of their time in glibc's scalar tanhf and expf. The vector paths
 // here are lane-wise transcriptions of the glibc 2.36 algorithms those
 // calls reach (fdlibm tanhf/expm1f, and the FMA variant of the

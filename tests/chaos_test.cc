@@ -272,9 +272,8 @@ TEST_F(ChaosDetectTest, EnvArmedFaultsDegradeGracefullyWithinBounds) {
 // ---------------------------------------------------------------------------
 
 // Mirrors golden_detect_test's corpus and line format exactly; the only
-// knobs that vary are exec mode, thread count, and an (unfired) deadline.
-std::vector<std::string> GoldenConfigLines(core::ExecMode mode, int threads,
-                                           int64_t deadline_ms) {
+// knobs that vary are thread count and an (unfired) deadline.
+std::vector<std::string> GoldenConfigLines(int threads, int64_t deadline_ms) {
   eval::ExperimentConfig config = eval::DefaultConfig(1.0);
   config.world.num_background_pois = 1500;
   config.world.num_loading_facilities = 8;
@@ -286,7 +285,6 @@ std::vector<std::string> GoldenConfigLines(core::ExecMode mode, int threads,
   config.sim.sample_interval_mean_s = 240.0;
   config.lead.train.autoencoder_epochs = 0;
   config.lead.train.detector_epochs = 0;
-  config.lead.detect.exec_mode = mode;
   config.lead.detect.threads = threads;
   config.lead.detect.deadline_ms = deadline_ms;
   auto data = eval::BuildExperiment(config);
@@ -330,30 +328,23 @@ std::vector<std::string> GoldenFileLines() {
 }
 
 // Acceptance: with no (firing) deadline the golden fixture stays
-// bit-identical across eager/plan and threads {1, 4} — the poll points,
-// watchdog scopes, and budget accounting sit on the hot path but only
-// observe, never reorder. A generous armed-but-unfired deadline must be
+// bit-identical across threads {1, 4} — the poll points, watchdog scopes,
+// and budget accounting sit on the hot path but only observe, never
+// reorder. A generous armed-but-unfired deadline must be
 // equally invisible.
 TEST(ChaosParityTest, DetectBitIdenticalAcrossModesThreadsAndArmedDeadline) {
   const std::vector<std::string> expected = GoldenFileLines();
   ASSERT_FALSE(expected.empty()) << "no golden fixture";
   struct Run {
-    core::ExecMode mode;
     int threads;
     int64_t deadline_ms;
   };
-  const std::vector<Run> runs = {
-      {core::ExecMode::kEager, 1, 0},       {core::ExecMode::kEager, 4, 0},
-      {core::ExecMode::kPlan, 1, 0},        {core::ExecMode::kPlan, 4, 0},
-      {core::ExecMode::kEager, 4, 600'000}, {core::ExecMode::kPlan, 4, 600'000},
-  };
+  const std::vector<Run> runs = {{1, 0}, {4, 0}, {4, 600'000}};
   for (const Run& run : runs) {
-    SCOPED_TRACE(std::string("mode=") +
-                 (run.mode == core::ExecMode::kPlan ? "plan" : "eager") +
-                 " threads=" + std::to_string(run.threads) +
+    SCOPED_TRACE("threads=" + std::to_string(run.threads) +
                  " deadline_ms=" + std::to_string(run.deadline_ms));
     const std::vector<std::string> actual =
-        GoldenConfigLines(run.mode, run.threads, run.deadline_ms);
+        GoldenConfigLines(run.threads, run.deadline_ms);
     EXPECT_EQ(actual, expected);
   }
 }
@@ -594,11 +585,9 @@ TEST(ChaosParityTest, DetectBitIdenticalWithRecorderOnAndOff) {
   ASSERT_FALSE(expected.empty()) << "no golden fixture";
   const bool was_recording = obs::Recorder::Global().enabled();
   obs::Recorder::Global().SetEnabled(true);
-  const std::vector<std::string> with_recorder =
-      GoldenConfigLines(core::ExecMode::kEager, 4, 0);
+  const std::vector<std::string> with_recorder = GoldenConfigLines(4, 0);
   obs::Recorder::Global().SetEnabled(false);
-  const std::vector<std::string> without_recorder =
-      GoldenConfigLines(core::ExecMode::kEager, 4, 0);
+  const std::vector<std::string> without_recorder = GoldenConfigLines(4, 0);
   obs::Recorder::Global().SetEnabled(was_recording);
   EXPECT_EQ(with_recorder, expected);
   EXPECT_EQ(without_recorder, expected);

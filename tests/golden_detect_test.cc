@@ -23,7 +23,6 @@
 #include "common/exec_strategy.h"
 #include "core/lead.h"
 #include "eval/harness.h"
-#include "obs/metrics.h"
 
 namespace lead {
 namespace {
@@ -157,9 +156,7 @@ TEST(GoldenDetectTest, ProbabilitiesMatchGoldenFile) {
 
 // The batch paths share Detect's scoring core, so they must reproduce the
 // fixture byte for byte: DetectBatch and a DetectStream provider under the
-// deterministic strategy for every exec mode and lane count, and a fast
-// DetectBatch in plan mode, where every item replays its cached encode and
-// score plans.
+// deterministic strategy for every lane count.
 TEST(GoldenDetectTest, BatchPathsMatchGoldenFile) {
   const std::vector<std::string> expected = ReadLines(GoldenPath());
   ASSERT_FALSE(expected.empty()) << "no golden fixture at " << GoldenPath();
@@ -174,33 +171,23 @@ TEST(GoldenDetectTest, BatchPathsMatchGoldenFile) {
   struct Run {
     bool stream;
     ExecStrategy strategy;
-    core::ExecMode mode;
     int threads;
   };
   std::vector<Run> runs;
   for (const bool stream : {false, true}) {
-    for (const core::ExecMode mode :
-         {core::ExecMode::kEager, core::ExecMode::kPlan}) {
-      for (const int threads : {1, 4}) {
-        runs.push_back({stream, ExecStrategy::kDeterministic, mode, threads});
-      }
+    for (const int threads : {1, 4}) {
+      runs.push_back({stream, ExecStrategy::kDeterministic, threads});
     }
   }
-  runs.push_back({false, ExecStrategy::kFast, core::ExecMode::kPlan, 4});
 
   for (const Run& run : runs) {
     SCOPED_TRACE(std::string(run.stream ? "DetectStream" : "DetectBatch") +
-                 " strategy=" + ExecStrategyName(run.strategy) + " mode=" +
-                 (run.mode == core::ExecMode::kPlan ? "plan" : "eager") +
+                 " strategy=" + ExecStrategyName(run.strategy) +
                  " threads=" + std::to_string(run.threads));
     core::LeadOptions lead = config.lead;
     lead.detect.strategy = run.strategy;
-    lead.detect.exec_mode = run.mode;
     lead.detect.threads = run.threads;
     const auto model = TrainedModel(lead, *data);
-    obs::Counter& hits = obs::GetCounter("nn.plan.cache_hits");
-    obs::Counter& misses = obs::GetCounter("nn.plan.cache_misses");
-    const int64_t lookups_before = hits.Value() + misses.Value();
     const StatusOr<core::BatchDetection> batch = [&] {
       const poi::PoiIndex& poi = data->world->poi_index();
       if (!run.stream) return model->DetectBatch(raws, poi);
@@ -212,14 +199,6 @@ TEST(GoldenDetectTest, BatchPathsMatchGoldenFile) {
           poi);
     }();
     ASSERT_TRUE(batch.ok()) << batch.status();
-    if (run.mode == core::ExecMode::kPlan) {
-      // Bytes alone cannot tell a plan replay from the eager path (they
-      // are bit-identical), so count the lookups: every detected item
-      // replays or records its encode plan and one scoring plan per
-      // direction, under either strategy.
-      EXPECT_GE(hits.Value() + misses.Value() - lookups_before,
-                3 * batch->completed);
-    }
     std::vector<std::string> actual;
     int used = 0;
     for (size_t i = 0; i < raws.size() && used < kMaxTrajectories; ++i) {

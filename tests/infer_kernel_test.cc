@@ -1,8 +1,7 @@
 // Bit-exactness of the fused no-grad inference kernels (nn/infer_kernels.h)
 // against the op-by-op path they replace. With gradients enabled every
-// public forward runs op by op through the registered kernels (the
-// training tape, and what a PlanRecorder compiles); under NoGradGuard the
-// same calls take the fused kernels. Every comparison is memcmp, so a
+// public forward runs op by op through the op kernels (the training
+// tape); under NoGradGuard the same calls take the fused kernels. Every comparison is memcmp, so a
 // single flipped bit fails. Inputs are scaled to |x| ~ 20 so the gates
 // saturate and the masked / padded paths see extreme values.
 #include <algorithm>
@@ -17,6 +16,8 @@
 #include "common/rng.h"
 #include "core/autoencoder.h"
 #include "core/detector.h"
+#include "core/lead.h"
+#include "eval/harness.h"
 #include "nn/batch.h"
 #include "nn/infer_kernels.h"
 #include "nn/lstm.h"
@@ -454,6 +455,40 @@ TEST(InferKernelTest, SteadyStateFusedForwardAllocatesOnlyItsResult) {
   const nn::Variable out = cell.ForwardSequence(x);
   EXPECT_EQ(nn::TensorAllocsThisThread() - before, 1);
   EXPECT_EQ(out.rows(), 9);
+}
+
+// The whole-detect counterpart: a steady-state DetectProcessed keeps only
+// per-bucket results and packing constants (a few hundred tensors),
+// where the op-by-op tape allocates one tensor per node, thousands per
+// detect. A fixed-seed, 0-epoch model on a small simulated corpus.
+TEST(InferKernelTest, SteadyStateDetectAllocatesFewerThanAThousandTensors) {
+  eval::ExperimentConfig config = eval::DefaultConfig(1.0);
+  config.world.num_background_pois = 800;
+  config.world.num_loading_facilities = 6;
+  config.world.num_unloading_facilities = 8;
+  config.world.num_rest_areas = 8;
+  config.world.num_depots = 4;
+  config.dataset.num_trajectories = 24;
+  config.dataset.num_trucks = 12;
+  config.sim.sample_interval_mean_s = 240.0;
+  config.lead.train.autoencoder_epochs = 0;
+  config.lead.train.detector_epochs = 0;
+  config.lead.train.threads = 1;
+  config.lead.detect.threads = 1;  // every allocation lands on this thread
+  auto data = eval::BuildExperiment(config);
+  ASSERT_TRUE(data.ok()) << data.status();
+  core::LeadModel model(config.lead);
+  const Status trained = model.Train(data->TrainLabeled(), data->ValLabeled(),
+                                     data->world->poi_index(), nullptr);
+  ASSERT_TRUE(trained.ok()) << trained;
+  auto pt = model.Preprocess(data->split.test.front().raw,
+                             data->world->poi_index());
+  ASSERT_TRUE(pt.ok()) << pt.status();
+
+  ASSERT_TRUE(model.DetectProcessed(*pt).ok());  // warms the scratch
+  const int64_t before = nn::TensorAllocsThisThread();
+  ASSERT_TRUE(model.DetectProcessed(*pt).ok());
+  EXPECT_LT(nn::TensorAllocsThisThread() - before, 1000);
 }
 
 #ifdef LEAD_CHECK_SHAPES

@@ -1,7 +1,7 @@
-// Fixture: constructing a Matrix temporary inside a registered operator
-// kernel body — a function taking `const OpCall&` — must be flagged
-// (rule: matrix-in-kernel). Kernels replay inside arena-planned
-// execution plans, so a Matrix temp heap-allocates on every replay.
+// Fixture: constructing a Matrix temporary inside an operator kernel
+// body — a function taking `const OpCall&` — must be flagged (rule:
+// matrix-in-kernel). Kernels write into caller-owned buffers, so a
+// Matrix temp heap-allocates on every op application.
 struct TensorView {
   float* data;
   int rows;

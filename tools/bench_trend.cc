@@ -5,12 +5,15 @@
 // (numeric fields whose names mark them as a rate or a duration); for
 // every (file, identity, metric) the newest row is compared against the
 // previous one and rendered as a table, flagging moves beyond a 15%
-// band as REGRESSED or improved. The tool never fails a build on a
-// regression — machines vary run to run, and the logs mix host
-// generations — it exists so a drifting benchmark is *seen* in CI
-// output, not to gate it. Exit status: 0 after any successful
-// comparison (regressions included), 2 on usage errors or unreadable
-// input.
+// band as REGRESSED or improved. The hardware tags (host_cores, isa,
+// build_type) are identity, so a row is compared only with rows from the
+// same hardware; git_rev is provenance and stays out of the identity, so
+// a revision is compared with the revisions before it. The tool never
+// fails a build on a regression — machines vary run to run, and the
+// logs mix host generations — it exists so a drifting benchmark is
+// *seen* in CI output, not to gate it. Exit status: 0 after any
+// successful comparison (regressions included), 2 on usage errors or
+// unreadable input.
 //
 // Metric direction is inferred from the field name:
 //   higher-better:  contains "per_sec" or "speedup"
@@ -123,11 +126,14 @@ Direction Classify(const std::string& name) {
   return Direction::kConfig;
 }
 
-// The identity key: every string field plus every configuration number,
-// in the row's own field order so reordered emitters still group.
+// The identity key: every string field but the git_rev provenance tag,
+// plus every configuration number, sorted by field name so reordered
+// emitters still group.
 std::string IdentityKey(const Row& row) {
   std::map<std::string, std::string> parts;
-  for (const auto& [key, value] : row.strings) parts[key] = value;
+  for (const auto& [key, value] : row.strings) {
+    if (key != "git_rev") parts[key] = value;
+  }
   for (const auto& [key, value] : row.numbers) {
     if (Classify(key) != Direction::kConfig) continue;
     char buf[32];

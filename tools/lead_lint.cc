@@ -578,12 +578,12 @@ class FileLinter {
 
   // --- operator kernels ---------------------------------------------------
 
-  // Registered operator kernels — functions taking `const OpCall&` — are
-  // replayed by compiled execution plans whose buffers live in a
-  // pre-planned arena. A Matrix temporary constructed inside a kernel
-  // body heap-allocates on every replay and silently defeats the
-  // allocation-free steady state; kernels must write through the
-  // OpCall's TensorViews instead.
+  // Operator kernels — functions taking `const OpCall&` — compute the
+  // forward value of every autograd op into a buffer their caller owns.
+  // A Matrix temporary constructed inside a kernel body heap-allocates on
+  // every op application and defeats the allocation-free kernel
+  // contract; kernels must write through the OpCall's TensorViews
+  // instead.
   void CheckMatrixInKernel(size_t i) {
     if (Tok(i).kind != Token::kIdent || Tok(i).text != "OpCall") return;
     if (!Is(i + 1, "&")) return;
@@ -604,8 +604,8 @@ class FileLinter {
       if (Tok(k).kind == Token::kIdent && Tok(k).text == "Matrix" &&
           !IsMemberAccess(k)) {
         Report(Tok(k).line, "matrix-in-kernel",
-               "Matrix temporary inside a registered operator kernel; write "
-               "through the OpCall's TensorViews so plan replay stays "
+               "Matrix temporary inside an operator kernel; write through "
+               "the OpCall's TensorViews so the kernel stays "
                "allocation-free");
       }
     }
